@@ -129,7 +129,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--quick", "--json", "--help"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let quick = opts.has("--quick");
@@ -235,13 +235,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     lines.push(t1);
     lines.push(tn);
 
-    // --- kernel 2b: the same campaign through the shape-batched solver ---
+    // --- kernel 2b: the same campaign through the shape-sorted runner ---
     //
     // Identical spec, seeds and thread count as `campaign_strict_nt`; the
     // only difference is the runner. `campaign_batched_speedup` is the
     // throughput ratio — the structural work (TPN build, ratio-graph/CSR
-    // build, Tarjan condensation) that shape groups amortize, plus the
-    // shared-structure streaming of the batched Howard kernel. Both runs
+    // build, Tarjan condensation) that a shape-group chunk pays once for
+    // its first seed and skips on the patch path for the rest. Both runs
     // solve at the same `--threads`, so the index is comparable across
     // machines and gated normally (it is NOT a thread-scaling index).
     lines.push(time_kernel("campaign_batched_nt", campaign_reps, campaign_count as u64, || {
@@ -254,6 +254,43 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let batched = run_campaign_batched(&cfg, CommModel::Strict, campaign_count, seed, threads, cap);
     let unbatched = run_campaign(&cfg, CommModel::Strict, campaign_count, seed, threads, cap);
     assert_eq!(batched, unbatched, "batched campaign must match the per-instance run");
+
+    // --- kernel 2c: both campaign runners on a large family ---
+    //
+    // (10,20) strict draws almost never repeat a shape, so nearly every
+    // chunk of the shape-sorted runner holds a single seed and there is
+    // no structural work to share. `campaign_batched_large_speedup` gates
+    // that routing costs nothing there: it sits near 1 and is not
+    // thread-scaling (both runs use `--threads`).
+    let large_cfg = GenConfig {
+        stages: 10,
+        procs: 20,
+        comp: Range::new(5.0, 15.0),
+        comm: Range::new(5.0, 15.0),
+    };
+    let large_count = if quick { 200 } else { 1000 };
+    let large_cap = repwf_gen::campaign::DEFAULT_CAMPAIGN_CAP;
+    lines.push(time_kernel("campaign_large_nt", campaign_reps, large_count as u64, || {
+        let res =
+            run_campaign(&large_cfg, CommModel::Strict, large_count, seed, threads, large_cap);
+        assert_eq!(res.outcomes.len(), large_count);
+    }));
+    lines.push(time_kernel("campaign_large_batched_nt", campaign_reps, large_count as u64, || {
+        let res = run_campaign_batched(
+            &large_cfg,
+            CommModel::Strict,
+            large_count,
+            seed,
+            threads,
+            large_cap,
+        );
+        assert_eq!(res.outcomes.len(), large_count);
+    }));
+    let batched =
+        run_campaign_batched(&large_cfg, CommModel::Strict, large_count, seed, threads, large_cap);
+    let unbatched =
+        run_campaign(&large_cfg, CommModel::Strict, large_count, seed, threads, large_cap);
+    assert_eq!(batched, unbatched, "batched large campaign must match the per-instance run");
 
     // --- kernel 3: annealing over mapping space (warm-engine oracle) ---
     let pipeline = Pipeline::new(vec![8.0, 24.0, 8.0], vec![0.5, 0.5]).unwrap();
@@ -465,6 +502,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
         ("dag_build_parity", per_iter("tpn_build_chain") / per_iter("tpn_build_dag")),
         ("campaign_parallel_speedup", campaign_speedup),
         ("campaign_batched_speedup", per_iter("campaign_strict_nt") / per_iter("campaign_batched_nt")),
+        (
+            "campaign_batched_large_speedup",
+            per_iter("campaign_large_nt") / per_iter("campaign_large_batched_nt"),
+        ),
         ("neighbor_eval_speedup", per_iter("neighbor_eval_cold") / per_iter("neighbor_eval_incremental")),
         ("patched_solve_speedup", per_iter("solve_rebuild") / per_iter("solve_patched")),
         ("shard_merge_efficiency", per_iter("campaign_strict_nt") / per_iter("campaign_shard_merge")),
@@ -532,7 +573,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     eprintln!("report written to {out_path}");
 
     if opts.has("--json") {
-        print!("{rendered}");
+        out!("{rendered}");
     }
 
     if let Some(baseline_path) = opts.get("--check") {

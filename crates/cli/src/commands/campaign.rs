@@ -18,6 +18,7 @@
 
 use crate::json::Json;
 use crate::opts::{model_name, parse_model, parse_range, parse_threads, Opts};
+use crate::progress::ProgressLine;
 use repwf_dist::report::campaign_doc;
 use repwf_dist::shard::{run_range, run_shard_opts, ShardRunOptions};
 use repwf_dist::supervise::ClaimOutcome;
@@ -27,7 +28,7 @@ use repwf_dist::{
 use repwf_gen::campaign::{
     run_campaign_batched_with, shape_stats, CampaignResult, DEFAULT_CAMPAIGN_CAP, GAP_REL_TOL,
 };
-use repwf_gen::{GenConfig, Range};
+use repwf_gen::{GenConfig, Range, Topology};
 use std::io::Write as _;
 use std::time::Duration;
 
@@ -89,7 +90,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--json", "--hist", "--help", "--supervise", "--metrics"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let stages = opts.get_or("--stages", 2usize)?;
@@ -127,9 +128,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return run_sharded(&opts, &spec, threads, obs);
     }
 
-    // The unsharded run goes through the shape-batched solver: same bytes
-    // as the per-instance engine (property-tested), a fraction of the
-    // structural work when draws repeat shapes.
+    // The unsharded run goes through the shape-sorted runner: same bytes
+    // as the per-instance engine (property-tested), one structural phase
+    // per shape-group chunk when draws repeat shapes.
+    let line = ProgressLine::new();
     let res = run_campaign_batched_with(
         &spec.cfg,
         model,
@@ -138,15 +140,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
         threads,
         cap,
         Some(&|p| {
-            let mut err = std::io::stderr().lock();
-            let _ = write!(
-                err,
-                "\r{}/{} experiments  (no-critical {}, simulated {})",
-                p.done, p.total, p.no_critical, p.simulated
-            );
-            if p.done == p.total {
-                let _ = writeln!(err);
-            }
+            line.report(p.done, p.total, |record| {
+                write!(
+                    record,
+                    "\r{}/{} experiments  (no-critical {}, simulated {}){}",
+                    p.done,
+                    p.total,
+                    p.no_critical,
+                    p.simulated,
+                    if p.done == p.total { "\n" } else { "" }
+                )
+            })
         }),
     );
 
@@ -162,7 +166,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         // The campaign document itself stays metrics-free: it must be
         // byte-identical to a `repwf merge` of the same campaign, traced
         // or not, at any thread count. `--metrics` reports on stderr.
-        print!("{}", campaign_doc(&spec, &res).to_string_pretty());
+        out!("{}", campaign_doc(&spec, &res).to_string_pretty());
         if let Some(snap) = &metrics {
             eprint!("{}", crate::obsctl::metrics_table(snap));
         }
@@ -211,13 +215,14 @@ fn run_sharded(
     }
     let run_opts = shard_run_options(opts)?;
     let path = std::path::Path::new(out);
+    let line = ProgressLine::new();
     let progress = |label: String| {
+        let line = &line;
         move |done: usize, total: usize| {
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\r{done}/{total} experiments ({label})");
-            if done == total {
-                let _ = writeln!(err);
-            }
+            line.report(done, total, |record| {
+                let end = if done == total { "\n" } else { "" };
+                write!(record, "\r{done}/{total} experiments ({label}){end}")
+            })
         }
     };
 
@@ -259,9 +264,9 @@ fn run_sharded(
             ("ran", Json::UInt(summary.ran as u128)),
             ("out", Json::str(out)),
         ]);
-        print!("{}", Json::Obj(fields).to_string_pretty());
+        out!("{}", Json::Obj(fields).to_string_pretty());
     } else if let Some((offset, len)) = plan.range_slice() {
-        println!(
+        outln!(
             "range {offset}+{len}: seeds {}..{} -> {out} \
              ({} resumed from checkpoint, {} computed)",
             plan.seed_start(),
@@ -269,9 +274,9 @@ fn run_sharded(
             summary.resumed,
             summary.ran,
         );
-        println!("merge with: repwf merge <files tiling the campaign> --json");
+        outln!("merge with: repwf merge <files tiling the campaign> --json");
     } else {
-        println!(
+        outln!(
             "shard {}/{}: seeds {}..{} -> {out} \
              ({} resumed from checkpoint, {} computed)",
             plan.shard_index,
@@ -281,7 +286,7 @@ fn run_sharded(
             summary.resumed,
             summary.ran,
         );
-        println!("merge with: repwf merge <all {} shard files> --json", plan.num_shards);
+        outln!("merge with: repwf merge <all {} shard files> --json", plan.num_shards);
     }
     Ok(())
 }
@@ -412,7 +417,7 @@ fn run_supervised(
 
     let merged = merge_paths(&summary.files).map_err(|e| e.to_string())?;
     if opts.has("--json") {
-        print!("{}", campaign_doc(&merged.spec, &merged.result).to_string_pretty());
+        out!("{}", campaign_doc(&merged.spec, &merged.result).to_string_pretty());
     } else {
         eprintln!(
             "campaign complete: {} units merged — {}",
@@ -430,7 +435,7 @@ pub(crate) fn print_summary(spec: &CampaignSpec, res: &CampaignResult, hist: boo
     let count = spec.count;
     let no_critical = accum.no_critical;
     let max_gap_pct = accum.max_gap() * 100.0;
-    println!(
+    outln!(
         "{model_name} model, {stages} stages on {procs} procs, comp {} comm {}",
         range_text(spec.cfg.comp),
         range_text(spec.cfg.comm),
@@ -438,33 +443,35 @@ pub(crate) fn print_summary(spec: &CampaignSpec, res: &CampaignResult, hist: boo
         stages = spec.cfg.stages,
         procs = spec.cfg.procs,
     );
-    println!(
+    outln!(
         "experiments        : {count} (seeds {}..{})",
         spec.seed_base,
         spec.seed_base + count as u64
     );
-    let (distinct_shapes, batch_hit_rate) = shape_stats(&spec.cfg, count, spec.seed_base);
-    println!(
-        "distinct shapes     : {distinct_shapes} (batch hit rate {:.1}%)",
-        batch_hit_rate * 100.0
-    );
-    let structural = repwf_gen::campaign::structural_stats(
+    let shapes = shape_stats(
         &spec.cfg,
+        &Topology::chain(spec.cfg.stages),
         spec.model,
         count,
         spec.seed_base,
         spec.cap,
     );
-    println!(
+    outln!(
+        "distinct shapes     : {} (batch hit rate {:.1}%)",
+        shapes.distinct_shapes,
+        shapes.batch_hit_rate * 100.0
+    );
+    let structural = shapes.structural;
+    outln!(
         "structural solves   : {} CSR builds, {} Tarjan runs, {} patched",
         structural.csr_builds, structural.tarjan_runs, structural.patched_solves
     );
-    println!(
+    outln!(
         "no critical resource: {no_critical} ({:.2}%)",
         100.0 * no_critical as f64 / count.max(1) as f64
     );
-    println!("max gap             : {max_gap_pct:.3}%");
-    println!("simulator fallback  : {}", accum.simulated);
+    outln!("max gap             : {max_gap_pct:.3}%");
+    outln!("simulator fallback  : {}", accum.simulated);
     if hist {
         let gaps: Vec<f64> = res
             .outcomes
@@ -473,10 +480,10 @@ pub(crate) fn print_summary(spec: &CampaignSpec, res: &CampaignResult, hist: boo
             .map(|o| o.gap() * 100.0)
             .collect();
         if gaps.is_empty() {
-            println!("\n(no positive gaps to plot)");
+            outln!("\n(no positive gaps to plot)");
         } else {
-            println!("\ngap distribution (% over M_ct):");
-            print!("{}", repwf_gen::stats::histogram(&gaps, 10, 50));
+            outln!("\ngap distribution (% over M_ct):");
+            out!("{}", repwf_gen::stats::histogram(&gaps, 10, 50));
         }
     }
 }

@@ -33,7 +33,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let opts =
         crate::opts::Opts::parse(args, &["--dir", "--lease-timeout"], &["--json", "--help"])?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     match opts.positional() {
@@ -85,11 +85,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ("complete", Json::Bool(status.complete)),
             ("unit_status", Json::Arr(units)),
         ]);
-        print!("{}", doc.to_string_pretty());
+        out!("{}", doc.to_string_pretty());
         return Ok(());
     }
 
-    println!(
+    outln!(
         "campaign: {} experiments from seed {}, {} initial units",
         status.spec.count, status.spec.seed_base, status.units
     );
@@ -113,17 +113,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
         } else {
             "unclaimed".to_string()
         };
-        println!(
+        outln!(
             "  r{}-{}: {}/{} records, {}",
             u.unit.offset, u.unit.declared, u.records, u.unit.eff, state
         );
     }
     let durable: usize = status.unit_status.iter().map(|u| u.records.min(u.unit.eff)).sum();
-    println!(
+    outln!(
         "progress: {durable}/{} records durable ({})",
         status.spec.count,
         repwf_gen::campaign::format_pct(durable, status.spec.count)
     );
-    println!("status: {}", if status.complete { "COMPLETE" } else { "in progress" });
+    outln!("status: {}", if status.complete { "COMPLETE" } else { "in progress" });
     Ok(())
 }

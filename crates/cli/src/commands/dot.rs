@@ -58,7 +58,7 @@ fn workflow_dag_dot(inst: &Instance) -> String {
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["-o", "--example", "--file", "--workflow"], &["--help"])?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let which = opts.positional().first().map(String::as_str).unwrap_or("overlap");
@@ -72,7 +72,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 std::fs::write(path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!("wrote {path}");
             }
-            None => print!("{dot}"),
+            None => out!("{dot}"),
         }
         return Ok(());
     }
@@ -127,7 +127,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             std::fs::write(path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => print!("{dot}"),
+        None => out!("{dot}"),
     }
     Ok(())
 }

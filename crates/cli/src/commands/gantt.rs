@@ -25,7 +25,7 @@ OPTIONS:
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["--periods", "--width", "--svg"], &["--help"])?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let which = opts.positional().first().map(String::as_str).unwrap_or("a-strict");
@@ -49,21 +49,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let (t0, t1) = (0.0, periods as f64 * p_big);
     let chart = build(&inst, model, &sim, t0, t1);
 
-    println!("{title}");
-    println!(
+    outln!("{title}");
+    outln!(
         "period = {:.4} per data set (M_ct = {:.4}, critical resource: {})\n",
         report.period,
         report.mct,
         if report.has_critical_resource(1e-9) { "yes" } else { "NO — every resource idles" }
     );
-    print!("{}", chart.to_ascii(width));
-    println!("\nidle fractions over the window:");
+    out!("{}", chart.to_ascii(width));
+    outln!("\nidle fractions over the window:");
     for &row in &chart.rows {
-        println!("  {:?}: {:.1}% idle", row, chart.idle_fraction(row, t0) * 100.0);
+        outln!("  {:?}: {:.1}% idle", row, chart.idle_fraction(row, t0) * 100.0);
     }
     if let Some(path) = opts.get("--svg") {
         std::fs::write(path, chart.to_svg()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("SVG written to {path}");
+        outln!("SVG written to {path}");
     }
     Ok(())
 }

@@ -109,7 +109,7 @@ fn exact_json(res: &ExactResult) -> Json {
 }
 
 fn print_mapping(label: &str, mapping: &Mapping) {
-    println!("{label:<20}: {:?}", mapping.assignment());
+    outln!("{label:<20}: {:?}", mapping.assignment());
 }
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -122,7 +122,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--exact", "--certify", "--json", "--metrics", "--help"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let obs = crate::obsctl::init(&opts, "map")?;
@@ -220,25 +220,25 @@ pub fn run(args: &[String]) -> Result<(), String> {
         if let Some(snap) = &metrics {
             fields.push(("metrics", crate::obsctl::metrics_json(snap)));
         }
-        print!("{}", Json::Obj(fields).to_string_pretty());
+        out!("{}", Json::Obj(fields).to_string_pretty());
         return Ok(());
     }
 
-    println!("model               : {}", model_name(model));
-    println!("mode                : {mode}");
+    outln!("model               : {}", model_name(model));
+    outln!("mode                : {mode}");
     if let Some(h) = &heuristic {
-        println!("heuristic period    : {:.6}  ({} evaluations)", h.period, h.evaluations);
+        outln!("heuristic period    : {:.6}  ({} evaluations)", h.period, h.evaluations);
         print_mapping("heuristic mapping", &h.mapping);
     }
     if let Some(res) = &exact {
         match &res.best {
             Some((mapping, period)) => {
-                println!("exact period        : {period:.6}");
+                outln!("exact period        : {period:.6}");
                 print_mapping("exact mapping", mapping);
             }
-            None => println!("exact               : no feasible mapping exists"),
+            None => outln!("exact               : no feasible mapping exists"),
         }
-        println!(
+        outln!(
             "search              : {} evaluated / {} pruned / {} nodes over {} tasks{}",
             res.stats.evaluated,
             res.stats.pruned,
@@ -251,7 +251,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(gap) = gap {
-        println!("optimality gap      : {:.6}%", gap * 100.0);
+        outln!("optimality gap      : {:.6}%", gap * 100.0);
     }
     if let Some(snap) = &metrics {
         crate::obsctl::print_metrics(snap);

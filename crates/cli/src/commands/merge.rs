@@ -47,7 +47,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--json", "--hist", "--help", "--allow-partial"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let shards = opts.positional();
@@ -78,9 +78,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         // it stays byte-identical to the unsharded run; only an actual
         // gap switches to the partial document.
         if missing.is_empty() {
-            print!("{}", campaign_doc(&merged.spec, &merged.result).to_string_pretty());
+            out!("{}", campaign_doc(&merged.spec, &merged.result).to_string_pretty());
         } else {
-            print!(
+            out!(
                 "{}",
                 campaign_doc_partial(&merged.spec, &merged.result, &missing)
                     .to_string_pretty()

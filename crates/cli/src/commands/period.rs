@@ -29,7 +29,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--json", "--metrics", "--help"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let obs = crate::obsctl::init(&opts, "period")?;
@@ -56,15 +56,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
         if let Some(snap) = &metrics {
             fields.push(("metrics", crate::obsctl::metrics_json(snap)));
         }
-        print!("{}", Json::Obj(fields).to_string_pretty());
+        out!("{}", Json::Obj(fields).to_string_pretty());
     } else {
-        println!("model               : {}", model_name(model));
-        println!("method              : {}", report.method);
-        println!("period P̂           : {:.6}", report.period);
-        println!("throughput 1/P̂     : {:.6}", report.throughput());
-        println!("M_ct lower bound    : {:.6}", report.mct);
-        println!("paths m             : {}", report.num_paths);
-        println!(
+        outln!("model               : {}", model_name(model));
+        outln!("method              : {}", report.method);
+        outln!("period P̂           : {:.6}", report.period);
+        outln!("throughput 1/P̂     : {:.6}", report.throughput());
+        outln!("M_ct lower bound    : {:.6}", report.mct);
+        outln!("paths m             : {}", report.num_paths);
+        outln!(
             "critical resource   : {}",
             if report.has_critical_resource(1e-9) {
                 report.critical.as_str()

@@ -23,7 +23,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--json", "--help"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let inst = load_instance(&opts)?;
@@ -46,16 +46,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ("mct", Json::Num(mct)),
             ("exact", Json::Bool(exact.is_some())),
         ]);
-        print!("{}", doc.to_string_pretty());
+        out!("{}", doc.to_string_pretty());
     } else {
-        println!("model           : {}", model_name(model));
-        println!("data sets       : {data_sets}");
-        println!(
+        outln!("model           : {}", model_name(model));
+        outln!("data sets       : {data_sets}");
+        outln!(
             "period estimate : {:.6}{}",
             estimate,
             if exact.is_some() { "  (asymptotically exact)" } else { "" }
         );
-        println!("M_ct            : {mct:.6}");
+        outln!("M_ct            : {mct:.6}");
     }
     Ok(())
 }

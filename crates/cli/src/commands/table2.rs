@@ -2,6 +2,7 @@
 
 use crate::json::Json;
 use crate::opts::{model_name, parse_threads, Opts};
+use crate::progress::ProgressLine;
 use repwf_gen::table2::{format_results, run_row_with, table2_rows, to_csv, RowResult};
 use std::io::Write as _;
 
@@ -25,7 +26,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &["--full", "--json", "--help"],
     )?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let scale = if opts.has("--full") { 1.0 } else { opts.get_or("--scale", 0.1f64)? };
@@ -40,6 +41,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut results = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         let t0 = std::time::Instant::now();
+        let line = ProgressLine::new();
         let res = run_row_with(
             row,
             scale,
@@ -47,14 +49,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
             threads,
             cap,
             Some(&|p| {
-                let _ = write!(
-                    std::io::stderr().lock(),
-                    "\rrow {}/{}: {}/{} experiments",
-                    i + 1,
-                    rows.len(),
-                    p.done,
-                    p.total
-                );
+                line.report(p.done, p.total, |record| {
+                    write!(
+                        record,
+                        "\rrow {}/{}: {}/{} experiments",
+                        i + 1,
+                        rows.len(),
+                        p.done,
+                        p.total
+                    )
+                })
             }),
         );
         eprintln!(
@@ -84,13 +88,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
             ("total_experiments", Json::UInt(total as u128)),
             ("rows", Json::Arr(rows_json)),
         ]);
-        print!("{}", doc.to_string_pretty());
+        out!("{}", doc.to_string_pretty());
     } else {
-        println!("\nTable 2 (scale {scale}):\n");
-        print!("{}", format_results(&results));
+        outln!("\nTable 2 (scale {scale}):\n");
+        out!("{}", format_results(&results));
         let total: usize = results.iter().map(|r| r.total).sum();
         let sim: usize = results.iter().map(|r| r.simulated).sum();
-        println!("\ntotal experiments: {total} ({sim} resolved by simulation fallback)");
+        outln!("\ntotal experiments: {total} ({sim} resolved by simulation fallback)");
     }
     Ok(())
 }

@@ -31,7 +31,7 @@ OPTIONS:
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["--min-coverage"], &["--json", "--help"])?;
     if opts.has("--help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let file = match opts.positional() {
@@ -43,7 +43,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let rep = read_trace(std::path::Path::new(file))?;
 
     if opts.has("--json") {
-        print!("{}", report_json(&rep).to_string_pretty());
+        out!("{}", report_json(&rep).to_string_pretty());
     } else {
         print_report(&rep);
     }
@@ -121,20 +121,20 @@ fn report_json(rep: &TraceReport) -> Json {
 }
 
 fn print_report(rep: &TraceReport) {
-    println!(
+    outln!(
         "trace: {} — {} records, {:.3} ms wall (checksum OK)",
         rep.command,
         rep.records,
         rep.total_ns as f64 / 1e6
     );
     if !rep.phases.is_empty() {
-        println!("phases (by total time):");
-        println!(
+        outln!("phases (by total time):");
+        outln!(
             "  {:<12} {:>8} {:>12} {:>10} {:>10} {:>10}",
             "phase", "count", "total ms", "p50 us", "p95 us", "p99 us"
         );
         for p in &rep.phases {
-            println!(
+            outln!(
                 "  {:<12} {:>8} {:>12.3} {:>10.1} {:>10.1} {:>10.1}",
                 p.name,
                 p.count,
@@ -146,28 +146,28 @@ fn print_report(rep: &TraceReport) {
         }
     }
     if !rep.counters.is_empty() {
-        println!("counters:");
+        outln!("counters:");
         for (name, value) in &rep.counters {
-            println!("  {name:<24} {value}");
+            outln!("  {name:<24} {value}");
         }
     }
     if !rep.events.is_empty() {
-        println!("events:");
+        outln!("events:");
         for (name, count) in &rep.events {
-            println!("  {name:<24} {count}");
+            outln!("  {name:<24} {count}");
         }
     }
     if rep.threads.len() > 1 {
-        println!("workers: {} threads", rep.threads.len());
+        outln!("workers: {} threads", rep.threads.len());
         for t in &rep.threads {
-            println!(
+            outln!(
                 "  tid {:<4} busy {:>12.3} ms over {} spans",
                 t.tid,
                 t.busy_ns as f64 / 1e6,
                 t.spans
             );
         }
-        println!("imbalance (max/mean worker busy): {:.2}", rep.imbalance);
+        outln!("imbalance (max/mean worker busy): {:.2}", rep.imbalance);
     }
-    println!("span coverage of wall time: {:.1}%", rep.coverage * 100.0);
+    outln!("span coverage of wall time: {:.1}%", rep.coverage * 100.0);
 }

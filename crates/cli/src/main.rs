@@ -26,9 +26,12 @@
 //! and at every shard count: `repwf merge` of `campaign --shard I/N` files
 //! reproduces the unsharded `--json` document byte for byte.
 
+#[macro_use]
+mod out;
 mod commands;
 mod obsctl;
 mod opts;
+mod progress;
 
 use repwf_dist::json;
 
@@ -88,7 +91,7 @@ fn main() -> ExitCode {
         "gantt" => commands::gantt::run(rest),
         "dot" => commands::dot::run(rest),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n\n{USAGE}")),

@@ -103,5 +103,5 @@ pub fn metrics_table(snap: &MetricsSnapshot) -> String {
 
 /// [`metrics_table`] to stdout (the human-report commands).
 pub fn print_metrics(snap: &MetricsSnapshot) {
-    print!("{}", metrics_table(snap));
+    out!("{}", metrics_table(snap));
 }

@@ -248,6 +248,8 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
         "campaign_strict_1t",
         "campaign_strict_nt",
         "campaign_batched_nt",
+        "campaign_large_nt",
+        "campaign_large_batched_nt",
         "anneal_strict",
         "neighbor_eval_cold",
         "neighbor_eval_incremental",
@@ -258,6 +260,7 @@ fn bench_emits_parseable_report_and_check_passes_against_self() {
         "warm_start_speedup",
         "campaign_parallel_speedup",
         "campaign_batched_speedup",
+        "campaign_batched_large_speedup",
         "neighbor_eval_speedup",
         "patched_solve_speedup",
         "shard_merge_efficiency",
@@ -621,4 +624,40 @@ fn campaign_json_reports_structural_solve_totals() {
         assert!(doc.contains(&format!("\"{key}\": ")), "missing {key} in:\n{doc}");
     }
     assert!(json_num(&doc, "csr_builds") >= 1.0, "{doc}");
+}
+
+#[test]
+fn campaign_progress_is_coalesced_to_percent_steps() {
+    // One `\r` record at the first experiment, one per whole percent and
+    // the final one — not one per experiment.
+    let (_, err, ok) = repwf(&[
+        "campaign", "--count", "1000", "--seed", "3", "--threads", "2", "--json",
+    ]);
+    assert!(ok, "{err}");
+    let records = err.matches('\r').count();
+    assert!((2..=102).contains(&records), "{records} progress records");
+    let last = err.rsplit('\r').next().unwrap();
+    assert!(last.starts_with("1000/1000 experiments"), "last record {last:?}");
+}
+
+#[test]
+fn closed_stdout_pipe_exits_cleanly() {
+    // `repwf … | head -4` where the reader is already gone: the write
+    // fails with EPIPE, and the command must exit 0 without a panic.
+    let fixture = forkjoin_fixture();
+    for args in [
+        &["period", "--workflow", &fixture][..],
+        &["campaign", "--count", "200", "--json"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_repwf"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn repwf");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }

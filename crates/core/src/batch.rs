@@ -11,8 +11,13 @@
 //! (`maxplus::batch`, via [`tpn::analysis::PeriodBatch`]).
 //!
 //! Results are bit-for-bit those of a cold [`crate::engine::PeriodEngine`]
-//! full-TPN solve per instance; `crates/gen`'s campaign property tests pin
-//! the whole batched campaign byte-identical to the unbatched one.
+//! full-TPN solve per instance (pinned by the tests below).
+//!
+//! No campaign runs this solver: measured on the Table 2 families, shape-
+//! sorted chunks on the engine's patch path matched it where shapes
+//! repeat and beat it where they do not, because there almost every
+//! chunk has one lane. It stays public because the benchmark probe under
+//! `perfbench/probe` links it.
 
 use crate::model::{CommModel, InstanceView};
 use crate::tpn_build::{build_tpn_view_into, transition_times_into, BuildError, BuildOptions};

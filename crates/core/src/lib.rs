@@ -24,7 +24,8 @@
 //!   (TPN build arena + max-plus workspace + warm-started Howard) for hot
 //!   loops that evaluate many related instances.
 //! * [`batch`] — the shape-batched [`batch::ShapeBatchSolver`]: one TPN
-//!   build + one condensation per shape, k instances per Howard pass.
+//!   build + one condensation per shape, k instances per Howard pass
+//!   (off the campaign path; see its module docs).
 //! * [`fixtures`] — the paper's Examples A, B and C.
 //!
 //! # Quickstart

@@ -349,9 +349,9 @@ pub fn retime_tpn_into(
 /// [`build_tpn_view_into`] would give transition `(j, c)` of a
 /// `rows × (n+E)` grid — the same expressions in the same order, so the
 /// values are bit-identical to a fresh build. This is the per-instance
-/// staging primitive of the shape-batched campaign path
-/// ([`crate::batch::ShapeBatchSolver`]): same-shape instances share one
-/// built net (the place structure) and differ only in these times.
+/// staging primitive of [`crate::batch::ShapeBatchSolver`]: same-shape
+/// instances share one built net (the place structure) and differ only
+/// in these times.
 pub fn transition_times_into(view: InstanceView<'_>, rows: usize, out: &mut Vec<f64>) {
     let wf = view.pipeline;
     let n = view.num_stages();

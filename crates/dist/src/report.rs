@@ -8,8 +8,8 @@
 
 use crate::json::Json;
 use crate::manifest::{model_name, CampaignSpec};
-use repwf_gen::campaign::{CampaignResult, Resolution};
-use repwf_gen::Range;
+use repwf_gen::campaign::{shape_stats, CampaignResult, Resolution};
+use repwf_gen::{Range, Topology};
 
 /// Builds the structured campaign document: the spec echo, the
 /// associative aggregates (via [`CampaignResult::accum`], the same folds
@@ -17,22 +17,20 @@ use repwf_gen::Range;
 /// order.
 pub fn campaign_doc(spec: &CampaignSpec, res: &CampaignResult) -> Json {
     let accum = res.accum();
-    // Shape statistics are computed from the *spec* (replaying only the
-    // replica RNG prefix of every seed), never from the outcomes: a
-    // merged sharded campaign reports the same values as the unsharded
-    // run regardless of which runner executed the experiments.
-    let (distinct_shapes, batch_hit_rate) =
-        repwf_gen::campaign::shape_stats(&spec.cfg, spec.count, spec.seed_base);
-    // Structural-solve totals, equally spec-derived (a replay of the
-    // batched scheduler's routing): merged and unsharded documents agree
-    // byte for byte no matter who ran the experiments.
-    let structural = repwf_gen::campaign::structural_stats(
+    // Shape statistics and structural-solve totals are computed from the
+    // *spec* (one replay of the replica RNG prefix of every seed), never
+    // from the outcomes: a merged sharded campaign reports the same bytes
+    // as the unsharded run regardless of which runner executed the
+    // experiments.
+    let shapes = shape_stats(
         &spec.cfg,
+        &Topology::chain(spec.cfg.stages),
         spec.model,
         spec.count,
         spec.seed_base,
         spec.cap,
     );
+    let structural = shapes.structural;
     let outcomes: Vec<Json> = res
         .outcomes
         .iter()
@@ -67,8 +65,8 @@ pub fn campaign_doc(spec: &CampaignSpec, res: &CampaignResult) -> Json {
         ("count", Json::UInt(spec.count as u128)),
         ("seed", Json::UInt(u128::from(spec.seed_base))),
         ("cap", Json::UInt(spec.cap as u128)),
-        ("distinct_shapes", Json::UInt(distinct_shapes as u128)),
-        ("batch_hit_rate", Json::Num(batch_hit_rate)),
+        ("distinct_shapes", Json::UInt(shapes.distinct_shapes as u128)),
+        ("batch_hit_rate", Json::Num(shapes.batch_hit_rate)),
         ("patched_solves", Json::UInt(u128::from(structural.patched_solves))),
         ("csr_builds", Json::UInt(u128::from(structural.csr_builds))),
         ("tarjan_runs", Json::UInt(u128::from(structural.tarjan_runs))),

@@ -46,11 +46,9 @@ use crate::agg;
 use crate::sampler::{sample_replica_counts, sample_workflow_parts, GenConfig, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use repwf_core::batch::ShapeBatchSolver;
-use repwf_core::cycle_time::max_cycle_time_view;
 use repwf_core::engine::PeriodEngine;
-use repwf_core::model::{CommModel, Instance, InstanceView};
-use repwf_core::paths::{mapping_num_paths, num_paths};
+use repwf_core::model::{CommModel, Instance};
+use repwf_core::paths::num_paths;
 use repwf_core::period::{Method, PeriodError};
 use repwf_core::tpn_build::{BuildError, BuildOptions};
 use repwf_sim::{simulate, SimOptions};
@@ -319,6 +317,58 @@ pub type ProgressFn<'a> = &'a (dyn Fn(Progress) + Sync);
 /// threads, **in seed order**.
 pub type OutcomeSink<'a> = &'a (dyn Fn(&ExperimentOutcome) + Sync);
 
+/// The lock-free streaming aggregates behind a [`ProgressFn`], shared by
+/// the worker threads of one campaign. `max_gap` is a non-negative f64;
+/// for non-negative IEEE-754 doubles the bit pattern is monotone in the
+/// value, so a `fetch_max` on the bits is a numeric max.
+struct LiveProgress<'a> {
+    callback: Option<ProgressFn<'a>>,
+    total: usize,
+    done: AtomicUsize,
+    no_critical: AtomicUsize,
+    simulated: AtomicUsize,
+    max_gap_bits: AtomicU64,
+}
+
+impl<'a> LiveProgress<'a> {
+    fn new(callback: Option<ProgressFn<'a>>, total: usize) -> Self {
+        LiveProgress {
+            callback,
+            total,
+            done: AtomicUsize::new(0),
+            no_critical: AtomicUsize::new(0),
+            simulated: AtomicUsize::new(0),
+            max_gap_bits: AtomicU64::new(0f64.to_bits()),
+        }
+    }
+
+    /// Folds one finished experiment in and reports a snapshot (a no-op
+    /// without a callback).
+    fn record(&self, outcome: &ExperimentOutcome) {
+        let Some(callback) = self.callback else { return };
+        // Update every statistic *before* bumping `done`: the worker that
+        // observes `done == total` then reads totals that include every
+        // experiment.
+        self.no_critical.fetch_add(
+            usize::from(outcome.no_critical_resource(GAP_REL_TOL)),
+            Ordering::SeqCst,
+        );
+        self.simulated.fetch_add(
+            usize::from(outcome.resolution == Resolution::Simulated),
+            Ordering::SeqCst,
+        );
+        agg::fold_max_gap(&self.max_gap_bits, outcome.gap());
+        let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
+        callback(Progress {
+            done,
+            total: self.total,
+            no_critical: self.no_critical.load(Ordering::SeqCst),
+            simulated: self.simulated.load(Ordering::SeqCst),
+            max_gap: f64::from_bits(self.max_gap_bits.load(Ordering::SeqCst)),
+        });
+    }
+}
+
 /// Runs one experiment (public for reuse by benches/tests).
 ///
 /// One-shot convenience over [`run_one_with`]: allocates a fresh
@@ -462,13 +512,7 @@ pub fn run_campaign_workflow_with(
     cap: usize,
     progress: Option<ProgressFn<'_>>,
 ) -> CampaignResult {
-    // Lock-free streaming aggregates. `max_gap` is a non-negative f64; for
-    // non-negative IEEE-754 doubles the bit pattern is monotone in the
-    // value, so a `fetch_max` on the bits is a numeric max.
-    let done = AtomicUsize::new(0);
-    let no_critical = AtomicUsize::new(0);
-    let simulated = AtomicUsize::new(0);
-    let max_gap_bits = AtomicU64::new(0f64.to_bits());
+    let live = LiveProgress::new(progress, count);
     let outcomes = repwf_par::par_map_init(
         threads,
         count,
@@ -476,28 +520,7 @@ pub fn run_campaign_workflow_with(
         |engine, k| {
             let _span = repwf_obs::span!(Experiment);
             let outcome = run_one_workflow_with(cfg, topo, model, seed_base + k as u64, engine);
-            if let Some(callback) = progress {
-                // Update every statistic *before* bumping `done`: the
-                // worker that observes `done == total` then reads totals
-                // that include every experiment.
-                no_critical.fetch_add(
-                    usize::from(outcome.no_critical_resource(GAP_REL_TOL)),
-                    Ordering::SeqCst,
-                );
-                simulated.fetch_add(
-                    usize::from(outcome.resolution == Resolution::Simulated),
-                    Ordering::SeqCst,
-                );
-                agg::fold_max_gap(&max_gap_bits, outcome.gap());
-                let d = done.fetch_add(1, Ordering::SeqCst) + 1;
-                callback(Progress {
-                    done: d,
-                    total: count,
-                    no_critical: no_critical.load(Ordering::SeqCst),
-                    simulated: simulated.load(Ordering::SeqCst),
-                    max_gap: f64::from_bits(max_gap_bits.load(Ordering::SeqCst)),
-                });
-            }
+            live.record(&outcome);
             outcome
         },
     );
@@ -560,143 +583,171 @@ pub fn run_campaign_workflow_streamed(
     CampaignResult { outcomes }
 }
 
-/// Campaign shape statistics, computed **statically from the spec** by
-/// replaying only the replica-count RNG prefix of every seed (no instance
-/// materialized, no experiment run): the number of distinct TPN shapes
-/// the campaign draws, and the batch hit rate
-/// `(count − distinct_shapes)/count` — the fraction of experiments that
-/// ride a shape some earlier seed already paid the structural phase for.
-///
-/// Because the statistics depend only on `(cfg, count, seed_base)`, a
-/// sharded campaign's merge report and the unsharded run report the same
-/// values, whichever runner actually executed the experiments.
-pub fn shape_stats(cfg: &GenConfig, count: usize, seed_base: u64) -> (usize, f64) {
-    if count == 0 {
-        return (0, 0.0);
-    }
-    let mut shapes = std::collections::HashSet::new();
-    for k in 0..count {
-        let mut rng = StdRng::seed_from_u64(seed_base + k as u64);
-        shapes.insert(sample_replica_counts(cfg, &mut rng));
-    }
-    let distinct = shapes.len();
-    (distinct, (count - distinct) as f64 / count as f64)
-}
-
-/// Structural-solve totals of the canonical batched campaign schedule
-/// (see [`structural_stats`]).
+/// Structural-solve totals of the shape-sorted campaign schedule (see
+/// [`shape_stats`]): the engine counters [`PeriodEngine::patched_solves`],
+/// [`PeriodEngine::csr_builds`] and [`PeriodEngine::tarjan_runs`] summed
+/// over the workers of [`run_campaign_batched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StructuralStats {
-    /// Oracle solves that took the engine's shape-preserving patch path.
-    /// The shape-batched scheduler replaces per-instance patching with
-    /// shared-structure batch passes, so this is zero for every campaign
-    /// it routes (and the overlap model never builds a TPN at all) — the
-    /// field pins that the batched schedule pays **no** per-instance
-    /// incremental solves, mirroring `PeriodEngine::patched_solves`.
+    /// Solves that took the engine's shape-preserving patch path: every
+    /// member of a shape-group chunk but the first. The overlap model
+    /// never builds a TPN, so it reports zero.
     pub patched_solves: u64,
-    /// CSR adjacency builds: one structural phase per batch chunk.
+    /// CSR adjacency builds: one per chunk, paid by its first member.
     pub csr_builds: u64,
-    /// Tarjan condensations: one per batch chunk (always equal to
-    /// `csr_builds` on this schedule; reported separately to mirror the
-    /// engine counters).
+    /// Tarjan condensations: one per chunk (always equal to `csr_builds`
+    /// on this schedule; reported separately to mirror the engine
+    /// counters).
     pub tarjan_runs: u64,
 }
 
-/// Replays the batched campaign's static routing (the same replica-RNG
-/// prefix replay as [`run_campaign_workflow_batched_with`]) and returns
-/// the structural work of that schedule **without cross-chunk cache
-/// reuse**: each batch chunk pays one TPN/CSR/Tarjan structural phase;
-/// over-cap seeds run the simulator fallback, which builds none of it.
+impl StructuralStats {
+    /// The structural counters `engine` has accumulated so far.
+    fn of(engine: &PeriodEngine) -> Self {
+        StructuralStats {
+            patched_solves: engine.patched_solves(),
+            csr_builds: engine.csr_builds(),
+            tarjan_runs: engine.tarjan_runs(),
+        }
+    }
+
+    /// Field-wise `self - earlier`.
+    fn since(self, earlier: StructuralStats) -> Self {
+        StructuralStats {
+            patched_solves: self.patched_solves - earlier.patched_solves,
+            csr_builds: self.csr_builds - earlier.csr_builds,
+            tarjan_runs: self.tarjan_runs - earlier.tarjan_runs,
+        }
+    }
+
+    /// Field-wise `self += other`.
+    fn add(&mut self, other: StructuralStats) {
+        self.patched_solves += other.patched_solves;
+        self.csr_builds += other.csr_builds;
+        self.tarjan_runs += other.tarjan_runs;
+    }
+}
+
+/// Campaign shape statistics (see [`shape_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ShapeStats {
+    /// Distinct replica-count shapes the campaign draws, over-cap shapes
+    /// included.
+    pub distinct_shapes: usize,
+    /// `(count − distinct_shapes)/count`: the fraction of experiments
+    /// that ride a shape some earlier seed already drew.
+    pub batch_hit_rate: f64,
+    /// Structural work of the shape-sorted schedule.
+    pub structural: StructuralStats,
+}
+
+/// Campaign shape statistics, computed **statically from the spec** in
+/// one replay of the replica-count RNG prefix of every seed (no instance
+/// materialized, no experiment run): the distinct TPN shapes, the batch
+/// hit rate, and the structural work of the schedule
+/// [`run_campaign_workflow_batched_with`] routes — per in-cap chunk one
+/// TPN/CSR/Tarjan structural phase and one patched solve per further
+/// member; over-cap seeds run the simulator fallback, which builds none
+/// of it.
 ///
-/// Like [`shape_stats`], this depends only on
-/// `(cfg, topo, model, count, seed_base, cap)` — never on the outcomes or
-/// the thread schedule — so a sharded campaign's merge report and the
-/// unsharded run report identical values and merged bytes stay identical
-/// to unsharded bytes.
-pub fn structural_stats_workflow(
+/// The statistics depend only on `(cfg, topo, model, count, seed_base,
+/// cap)` — never on the outcomes or the thread schedule — so a sharded
+/// campaign's merge report and the unsharded run report identical
+/// values, whichever runner actually executed the experiments.
+pub fn shape_stats(
     cfg: &GenConfig,
     topo: &Topology,
     model: CommModel,
     count: usize,
     seed_base: u64,
     cap: usize,
-) -> StructuralStats {
-    if model == CommModel::Overlap || count == 0 {
-        return StructuralStats::default();
+) -> ShapeStats {
+    if count == 0 {
+        return ShapeStats::default();
     }
-    let cols = (topo.stages + topo.num_edges()) as u128;
-    let mut group_of: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut groups: Vec<(u128, u64)> = Vec::new();
+    let cols = grid_columns(topo);
+    // Seeds per shape, with the shape's routed TPN size.
+    let mut shapes: HashMap<Vec<usize>, (Option<u128>, u64)> = HashMap::new();
     for k in 0..count {
-        let mut rng = StdRng::seed_from_u64(seed_base + k as u64);
-        let replicas = sample_replica_counts(cfg, &mut rng);
-        let transitions = num_paths(&replicas).and_then(|m| m.checked_mul(cols));
-        if let Some(t) = transitions {
-            if t <= cap as u128 {
-                let g = *group_of.entry(replicas).or_insert_with(|| {
-                    groups.push((t, 0));
-                    groups.len() - 1
+        let replicas = replica_shape(cfg, seed_base + k as u64);
+        shapes.entry(replicas).or_insert_with_key(|r| (routed_transitions(r, cols, cap), 0)).1 += 1;
+    }
+    let mut structural = StructuralStats::default();
+    if model == CommModel::Strict {
+        for &(transitions, members) in shapes.values() {
+            if let Some(t) = transitions {
+                let chunks = members.div_ceil(chunk_len(t) as u64);
+                structural.add(StructuralStats {
+                    patched_solves: members - chunks,
+                    csr_builds: chunks,
+                    tarjan_runs: chunks,
                 });
-                groups[g].1 += 1;
             }
         }
     }
-    let mut chunks = 0u64;
-    for (transitions, members) in groups {
-        let chunk = (BATCH_TRANSITION_BUDGET / transitions.max(1)).clamp(1, MAX_BATCH as u128);
-        chunks += members.div_ceil(chunk as u64);
+    let distinct_shapes = shapes.len();
+    ShapeStats {
+        distinct_shapes,
+        batch_hit_rate: (count - distinct_shapes) as f64 / count as f64,
+        structural,
     }
-    StructuralStats { patched_solves: 0, csr_builds: chunks, tarjan_runs: chunks }
 }
 
-/// [`structural_stats_workflow`] on the linear chain topology — the shape
-/// every `CampaignSpec`-driven campaign (CLI, shards, supervisor) runs.
-pub fn structural_stats(
-    cfg: &GenConfig,
-    model: CommModel,
-    count: usize,
-    seed_base: u64,
-    cap: usize,
-) -> StructuralStats {
-    structural_stats_workflow(cfg, &Topology::chain(cfg.stages), model, count, seed_base, cap)
-}
-
-/// Upper bound on transitions staged per batched chunk: chunks shrink for
-/// big shapes so the per-worker cost planes and Howard columns stay
-/// bounded (a pure function of the shape dimensions — deterministic).
+/// Upper bound on transitions per shape-group chunk: chunks shrink for
+/// big shapes, down to one seed, so the work stealer can balance
+/// expensive solves (a pure function of the shape dimensions —
+/// deterministic).
 const BATCH_TRANSITION_BUDGET: u128 = 1_000_000;
-/// Instances per batched Howard pass for small shapes.
+/// Seeds per shape-group chunk for small shapes: one structural phase
+/// amortized over up to this many solves.
 const MAX_BATCH: usize = 16;
 
-/// One unit of batched campaign work.
-enum BatchTask {
-    /// Same-shape, in-cap seeds solved in one batched Howard pass.
-    Batch(Vec<u32>),
-    /// A seed the batched path cannot take (TPN over the size cap —
-    /// simulator fallback — or path-count overflow): runs through
-    /// [`run_one_with`], exactly like the unbatched campaign.
-    Solo(u32),
+/// TPN grid columns of `topo`: one per stage and one per edge.
+fn grid_columns(topo: &Topology) -> u128 {
+    (topo.stages + topo.num_edges()) as u128
 }
 
-/// [`run_campaign`] through the shape-batched solver. Outcomes are **byte
-/// identical** to [`run_campaign`] with the same arguments at any thread
-/// count (property-tested in `tests/batch_props.rs`); only the work
-/// schedule differs:
+/// The replica counts seed `seed` draws: the prefix of its RNG stream.
+fn replica_shape(cfg: &GenConfig, seed: u64) -> Vec<usize> {
+    sample_replica_counts(cfg, &mut StdRng::seed_from_u64(seed))
+}
+
+/// TPN transitions of a shape when they fit `cap`; `None` (over the cap,
+/// or a path count that overflows) runs the seed on its own.
+fn routed_transitions(replicas: &[usize], cols: u128, cap: usize) -> Option<u128> {
+    num_paths(replicas)
+        .and_then(|m| m.checked_mul(cols))
+        .filter(|&t| t <= cap as u128)
+}
+
+/// Seeds per chunk of a shape group whose TPN has `transitions`.
+fn chunk_len(transitions: u128) -> usize {
+    (BATCH_TRANSITION_BUDGET / transitions.max(1)).clamp(1, MAX_BATCH as u128) as usize
+}
+
+/// [`run_campaign`] with the experiments **sorted by TPN shape**. Outcomes
+/// are **byte identical** to [`run_campaign`] with the same arguments at
+/// any thread count (property-tested in `tests/batch_props.rs`); only the
+/// work schedule differs:
 ///
 /// * experiments are **routed by shape** — the canonical shape signature
 ///   (communication model + per-stage replica counts) of each seed is
 ///   recovered statically by replaying the replica RNG prefix
-///   ([`crate::sampler::sample_replica_counts`]), so same-shape
-///   experiments land in shared chunks without sampling an instance;
-/// * each chunk amortizes **one** TPN build, **one** ratio-graph/CSR
-///   build and **one** Tarjan condensation across its instances, and the
-///   batched Howard kernel streams every instance's cost plane per pass
-///   over the shared structure ([`repwf_core::batch::ShapeBatchSolver`]);
-/// * over-cap and degenerate seeds fall back to the per-instance path
-///   ([`run_one_with`]), unchanged.
+///   ([`crate::sampler::sample_replica_counts`]), and same-shape seeds are
+///   grouped in first-occurrence order and cut into chunks (up to
+///   16 seeds, fewer for big shapes) without sampling an instance;
+/// * each chunk runs in seed order on the worker's [`PeriodEngine`]: the
+///   first member pays **one** TPN build, ratio-graph/CSR build and
+///   Tarjan condensation, and every further member takes the engine's
+///   patch path — re-time the TPN in place, re-weight the ratio graph,
+///   re-solve Howard on the cached condensation. The per-seed runner
+///   patches only when consecutive seeds on a worker happen to share a
+///   shape;
+/// * over-cap and degenerate seeds run alone, exactly like the per-seed
+///   campaign.
 ///
 /// The overlap model solves through the polynomial algorithm (no TPN to
-/// batch), so it delegates to the unbatched runner wholesale.
+/// share), so it delegates to the per-seed runner wholesale.
 pub fn run_campaign_batched(
     cfg: &GenConfig,
     model: CommModel,
@@ -710,8 +761,7 @@ pub fn run_campaign_batched(
 
 /// [`run_campaign_batched`] with an optional streaming progress callback
 /// (one [`Progress`] snapshot per finished experiment, like
-/// [`run_campaign_with`] — batched chunks report each member as the chunk
-/// completes).
+/// [`run_campaign_with`]).
 pub fn run_campaign_batched_with(
     cfg: &GenConfig,
     model: CommModel,
@@ -763,143 +813,99 @@ pub fn run_campaign_workflow_batched_with(
     cap: usize,
     progress: Option<ProgressFn<'_>>,
 ) -> CampaignResult {
+    run_shape_sorted(cfg, topo, model, count, seed_base, threads, cap, progress).0
+}
+
+/// [`run_campaign_workflow_batched_with`], also returning the structural
+/// counters of the per-worker engines, summed over the chunks.
+#[allow(clippy::too_many_arguments)]
+fn run_shape_sorted(
+    cfg: &GenConfig,
+    topo: &Topology,
+    model: CommModel,
+    count: usize,
+    seed_base: u64,
+    threads: usize,
+    cap: usize,
+    progress: Option<ProgressFn<'_>>,
+) -> (CampaignResult, StructuralStats) {
     if model == CommModel::Overlap || count == 0 {
-        return run_campaign_workflow_with(cfg, topo, model, count, seed_base, threads, cap, progress);
+        let res =
+            run_campaign_workflow_with(cfg, topo, model, count, seed_base, threads, cap, progress);
+        return (res, StructuralStats::default());
     }
 
     // --- static shape routing: replay only the replica RNG prefix ---
-    let cols = (topo.stages + topo.num_edges()) as u128;
-    let mut tasks: Vec<BatchTask> = Vec::new();
+    let cols = grid_columns(topo);
+    let mut solo: Vec<u32> = Vec::new();
     let mut group_of: HashMap<Vec<usize>, usize> = HashMap::new();
     // (transitions, members) per shape, in first-occurrence order.
     let mut groups: Vec<(u128, Vec<u32>)> = Vec::new();
     for k in 0..count {
-        let mut rng = StdRng::seed_from_u64(seed_base + k as u64);
-        let replicas = sample_replica_counts(cfg, &mut rng);
-        let transitions = num_paths(&replicas).and_then(|m| m.checked_mul(cols));
-        match transitions {
-            Some(t) if t <= cap as u128 => {
+        let replicas = replica_shape(cfg, seed_base + k as u64);
+        match routed_transitions(&replicas, cols, cap) {
+            Some(t) => {
                 let g = *group_of.entry(replicas).or_insert_with(|| {
                     groups.push((t, Vec::new()));
                     groups.len() - 1
                 });
                 groups[g].1.push(k as u32);
             }
-            _ => tasks.push(BatchTask::Solo(k as u32)),
+            None => solo.push(k as u32),
         }
+    }
+    // One task per over-cap seed, then every group cut into chunks.
+    let mut tasks: Vec<&[u32]> = solo.chunks(1).collect();
+    for (transitions, members) in &groups {
+        tasks.extend(members.chunks(chunk_len(*transitions)));
     }
     repwf_obs::counter_add(repwf_obs::CounterId::ShapeGroups, groups.len() as u64);
-    repwf_obs::counter_add(repwf_obs::CounterId::SoloExperiments, tasks.len() as u64);
-    let mut batch_chunks = 0u64;
-    let mut batched_experiments = 0u64;
-    for (transitions, members) in groups {
-        let chunk = (BATCH_TRANSITION_BUDGET / transitions.max(1)).clamp(1, MAX_BATCH as u128);
-        for c in members.chunks(chunk as usize) {
-            batch_chunks += 1;
-            batched_experiments += c.len() as u64;
-            tasks.push(BatchTask::Batch(c.to_vec()));
-        }
-    }
-    repwf_obs::counter_add(repwf_obs::CounterId::BatchChunks, batch_chunks);
-    repwf_obs::counter_add(repwf_obs::CounterId::BatchedExperiments, batched_experiments);
+    repwf_obs::counter_add(repwf_obs::CounterId::SoloExperiments, solo.len() as u64);
+    repwf_obs::counter_add(repwf_obs::CounterId::BatchChunks, (tasks.len() - solo.len()) as u64);
+    repwf_obs::counter_add(
+        repwf_obs::CounterId::BatchedExperiments,
+        (count - solo.len()) as u64,
+    );
 
-    // Streaming aggregates, exactly as in `run_campaign_with`.
-    let done = AtomicUsize::new(0);
-    let no_critical = AtomicUsize::new(0);
-    let simulated = AtomicUsize::new(0);
-    let max_gap_bits = AtomicU64::new(0f64.to_bits());
-    let record = |outcome: &ExperimentOutcome| {
-        if let Some(callback) = progress {
-            no_critical.fetch_add(
-                usize::from(outcome.no_critical_resource(GAP_REL_TOL)),
-                Ordering::SeqCst,
-            );
-            simulated.fetch_add(
-                usize::from(outcome.resolution == Resolution::Simulated),
-                Ordering::SeqCst,
-            );
-            agg::fold_max_gap(&max_gap_bits, outcome.gap());
-            let d = done.fetch_add(1, Ordering::SeqCst) + 1;
-            callback(Progress {
-                done: d,
-                total: count,
-                no_critical: no_critical.load(Ordering::SeqCst),
-                simulated: simulated.load(Ordering::SeqCst),
-                max_gap: f64::from_bits(max_gap_bits.load(Ordering::SeqCst)),
-            });
-        }
-    };
-
+    let live = LiveProgress::new(progress, count);
     let results = repwf_par::par_map_init(
         threads,
         tasks.len(),
-        || (engine_for_cap(cap), ShapeBatchSolver::new(cap)),
-        |(engine, solver), t| match &tasks[t] {
-            BatchTask::Solo(k) => {
-                let _span = repwf_obs::span!(Experiment);
-                let outcome =
-                    run_one_workflow_with(cfg, topo, model, seed_base + u64::from(*k), engine);
-                record(&outcome);
-                vec![(*k, outcome)]
-            }
-            BatchTask::Batch(ks) => {
-                let _span = repwf_obs::span!(Experiment);
-                // (seed index, M_ct, path count) per staged instance.
-                let mut metas: Vec<(u32, f64, u128)> = Vec::with_capacity(ks.len());
-                for (q, &k) in ks.iter().enumerate() {
-                    let seed = seed_base + u64::from(k);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let (pipeline, platform, mapping) = sample_workflow_parts(cfg, topo, &mut rng);
-                    let view = InstanceView::new(&pipeline, &platform, &mapping)
-                        .expect("generator produces valid instances");
-                    if q == 0 {
-                        solver
-                            .begin(view, model, ks.len())
-                            .expect("routed shapes fit the size cap");
-                    }
-                    let (mct, _) = max_cycle_time_view(view, model);
-                    let m = mapping_num_paths(&mapping)
-                        .expect("routed shapes have a path count");
-                    solver.stage(q, view);
-                    metas.push((k, mct, m));
-                }
-                let solved = solver.solve();
-                metas
-                    .into_iter()
-                    .zip(solved)
-                    .map(|((k, mct, m), res)| {
-                        let seed = seed_base + u64::from(k);
-                        let sol = res
-                            .unwrap_or_else(|e| panic!("experiment {seed} failed: {e}"))
-                            .expect("mapping TPNs always contain circuits");
-                        let outcome = ExperimentOutcome {
-                            seed,
-                            mct,
-                            period: sol.period / m as f64,
-                            resolution: Resolution::Exact,
-                            num_paths: m,
-                        };
-                        record(&outcome);
-                        (k, outcome)
-                    })
-                    .collect()
-            }
+        || engine_for_cap(cap),
+        |engine, t| {
+            // Every chunk starts with a rebuild, even after a same-shape
+            // chunk on this worker, so the structural work is a function
+            // of the routing alone, never of the stealing schedule.
+            engine.reset_patch_state();
+            let before = StructuralStats::of(engine);
+            let outcomes: Vec<(u32, ExperimentOutcome)> = tasks[t]
+                .iter()
+                .map(|&k| {
+                    let _span = repwf_obs::span!(Experiment);
+                    let outcome =
+                        run_one_workflow_with(cfg, topo, model, seed_base + u64::from(k), engine);
+                    live.record(&outcome);
+                    (k, outcome)
+                })
+                .collect();
+            (outcomes, StructuralStats::of(engine).since(before))
         },
     );
 
     // Scatter the chunked results back to seed order.
     let mut outcomes: Vec<Option<ExperimentOutcome>> = vec![None; count];
-    for chunk in results {
+    let mut structural = StructuralStats::default();
+    for (chunk, work) in results {
+        structural.add(work);
         for (k, outcome) in chunk {
             outcomes[k as usize] = Some(outcome);
         }
     }
-    CampaignResult {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every seed is scheduled exactly once"))
-            .collect(),
-    }
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every seed is scheduled exactly once"))
+        .collect();
+    (CampaignResult { outcomes }, structural)
 }
 
 #[cfg(test)]
@@ -1263,14 +1269,26 @@ mod tests {
 
     #[test]
     fn shape_stats_count_distinct_replica_draws() {
-        let (distinct, hit_rate) = shape_stats(&small_cfg(), 24, 900);
+        let cfg = small_cfg();
+        let chain = Topology::chain(cfg.stages);
+        let stats = shape_stats(&cfg, &chain, CommModel::Strict, 24, 900, 200_000);
+        let distinct = stats.distinct_shapes;
         assert!((1..=24).contains(&distinct));
         // 2 stages / 7 procs: only 6 possible shapes, so 24 draws repeat.
         assert!(distinct <= 6);
-        assert!((hit_rate - (24 - distinct) as f64 / 24.0).abs() < 1e-15);
-        assert_eq!(shape_stats(&small_cfg(), 0, 900), (0, 0.0));
-        // Purely spec-derived: identical on every call.
-        assert_eq!(shape_stats(&small_cfg(), 24, 900), (distinct, hit_rate));
+        assert!((stats.batch_hit_rate - (24 - distinct) as f64 / 24.0).abs() < 1e-15);
+        assert_eq!(
+            shape_stats(&cfg, &chain, CommModel::Strict, 0, 900, 200_000),
+            ShapeStats::default()
+        );
+        // Purely spec-derived: identical on every call, and the shape
+        // count depends on neither the model nor the cap.
+        assert_eq!(shape_stats(&cfg, &chain, CommModel::Strict, 24, 900, 200_000), stats);
+        for (model, cap) in [(CommModel::Overlap, 200_000), (CommModel::Strict, 1)] {
+            let other = shape_stats(&cfg, &chain, model, 24, 900, cap);
+            assert_eq!(other.distinct_shapes, distinct);
+            assert_eq!(other.batch_hit_rate.to_bits(), stats.batch_hit_rate.to_bits());
+        }
     }
 
     #[test]
@@ -1308,30 +1326,59 @@ mod tests {
     #[test]
     fn structural_stats_replay_the_batched_routing() {
         let cfg = small_cfg();
+        let chain = Topology::chain(cfg.stages);
+        let structural =
+            |model, count, cap| shape_stats(&cfg, &chain, model, count, 900, cap).structural;
         // Overlap: polynomial path, no structural work at all.
-        assert_eq!(
-            structural_stats(&cfg, CommModel::Overlap, 24, 900, 200_000),
-            StructuralStats::default()
-        );
-        assert_eq!(
-            structural_stats(&cfg, CommModel::Strict, 0, 900, 200_000),
-            StructuralStats::default()
-        );
+        assert_eq!(structural(CommModel::Overlap, 24, 200_000), StructuralStats::default());
+        assert_eq!(structural(CommModel::Strict, 0, 200_000), StructuralStats::default());
 
-        let stats = structural_stats(&cfg, CommModel::Strict, 24, 900, 200_000);
-        let (distinct, _) = shape_stats(&cfg, 24, 900);
+        let stats = structural(CommModel::Strict, 24, 200_000);
+        let distinct =
+            shape_stats(&cfg, &chain, CommModel::Strict, 24, 900, 200_000).distinct_shapes;
         // One structural phase per chunk: at least one chunk per in-cap
-        // shape, at most one per experiment; Tarjan rides every CSR build.
+        // shape, at most one per experiment; Tarjan rides every CSR build,
+        // and every seed but a chunk's first patches.
         assert_eq!(stats.tarjan_runs, stats.csr_builds);
         assert!(stats.csr_builds >= distinct as u64);
         assert!(stats.csr_builds <= 24);
-        assert_eq!(stats.patched_solves, 0, "batched schedule never patches");
+        assert_eq!(stats.patched_solves, 24 - stats.csr_builds);
         // Purely spec-derived: identical on every call.
-        assert_eq!(structural_stats(&cfg, CommModel::Strict, 24, 900, 200_000), stats);
+        assert_eq!(structural(CommModel::Strict, 24, 200_000), stats);
 
         // A cap below every shape routes everything solo (simulator): no
         // structural work is derived.
-        let all_solo = structural_stats(&cfg, CommModel::Strict, 24, 900, 1);
-        assert_eq!(all_solo, StructuralStats::default());
+        assert_eq!(structural(CommModel::Strict, 24, 1), StructuralStats::default());
+    }
+
+    #[test]
+    fn structural_stats_equal_the_summed_engine_counters() {
+        // The spec replay is not a model of the schedule but the schedule
+        // itself: the per-worker engine counters of a real run, summed,
+        // must match it at any thread count. Cap 60 on the 3-stage family
+        // mixes in-cap groups with over-cap solo seeds, and 80 seeds of 2
+        // stages give groups longer than one chunk.
+        let mixed = GenConfig {
+            stages: 3,
+            procs: 9,
+            comp: Range::new(5.0, 15.0),
+            comm: Range::new(5.0, 15.0),
+        };
+        for (cfg, count, cap) in [(mixed, 24, 60), (small_cfg(), 80, 200_000)] {
+            let chain = Topology::chain(cfg.stages);
+            let expected = shape_stats(&cfg, &chain, CommModel::Strict, count, 5, cap).structural;
+            assert!(expected.patched_solves > 0);
+            for threads in [1, 2, 4] {
+                let (_, measured) =
+                    run_shape_sorted(&cfg, &chain, CommModel::Strict, count, 5, threads, cap, None);
+                assert_eq!(measured, expected, "{}x{} threads={threads}", cfg.stages, cfg.procs);
+            }
+        }
+        let stats =
+            shape_stats(&small_cfg(), &Topology::chain(2), CommModel::Strict, 80, 5, 200_000);
+        assert!(
+            stats.structural.csr_builds > stats.distinct_shapes as u64,
+            "80 seeds over at most 6 shapes must split some group into several chunks"
+        );
     }
 }

@@ -6,7 +6,9 @@
 //! experiment count evenly between the two sizes, matching the paper's
 //! grand total of 5152 experiments.
 
-use crate::campaign::{run_campaign_with, CampaignResult, ProgressFn, GAP_REL_TOL};
+use crate::campaign::{
+    run_campaign_with, CampaignAccum, CampaignResult, Progress, ProgressFn, GAP_REL_TOL,
+};
 use crate::sampler::{GenConfig, Range};
 use repwf_core::model::CommModel;
 use std::fmt::Write as _;
@@ -95,10 +97,9 @@ pub fn run_row(row: &Table2Row, scale: f64, seed_base: u64, threads: usize, cap:
     run_row_with(row, scale, seed_base, threads, cap, None)
 }
 
-/// [`run_row`] with a streaming progress callback (one [`Progress`]
-/// snapshot per finished experiment, per size sub-campaign).
-///
-/// [`Progress`]: crate::campaign::Progress
+/// [`run_row`] with a streaming progress callback: one [`Progress`]
+/// snapshot per finished experiment, counted over the whole row (a
+/// size sub-campaign's snapshots add the finished sizes' totals).
 pub fn run_row_with(
     row: &Table2Row,
     scale: f64,
@@ -110,8 +111,21 @@ pub fn run_row_with(
     let mut outcomes: Option<CampaignResult> = None;
     let mut total = 0usize;
     let per_size = ((row.paper_count as f64 * scale / row.sizes.len() as f64).round() as usize).max(1);
+    let row_total = per_size * row.sizes.len();
+    let mut prior = CampaignAccum::new();
     for (k, &(stages, procs)) in row.sizes.iter().enumerate() {
         let cfg = GenConfig { stages, procs, comp: row.comp, comm: row.comm };
+        let row_progress = |p: Progress| {
+            if let Some(callback) = progress {
+                callback(Progress {
+                    done: prior.done + p.done,
+                    total: row_total,
+                    no_critical: prior.no_critical + p.no_critical,
+                    simulated: prior.simulated + p.simulated,
+                    max_gap: prior.max_gap().max(p.max_gap),
+                });
+            }
+        };
         let res = run_campaign_with(
             &cfg,
             row.model,
@@ -119,9 +133,10 @@ pub fn run_row_with(
             seed_base + 1_000_000 * k as u64,
             threads,
             cap,
-            progress,
+            progress.map(|_| &row_progress as ProgressFn<'_>),
         );
         total += res.outcomes.len();
+        prior.merge(&res.accum());
         outcomes = Some(match outcomes {
             None => res,
             Some(mut acc) => {
@@ -246,5 +261,24 @@ mod tests {
         assert!(txt.contains("strict"));
         let csv = to_csv(&[r]);
         assert!(csv.lines().count() == 2);
+    }
+
+    #[test]
+    fn row_progress_counts_over_the_whole_row() {
+        // Row 10 has two sizes: the second size's snapshots continue
+        // where the first stopped, and the last one carries the row's
+        // aggregates.
+        let row = &table2_rows()[10];
+        assert_eq!(row.sizes.len(), 2);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let r = run_row_with(row, 0.01, 42, 2, 100_000, Some(&|p| seen.lock().unwrap().push(p)));
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|p| p.done);
+        let done: Vec<usize> = seen.iter().map(|p| p.done).collect();
+        assert_eq!(done, (1..=r.total).collect::<Vec<_>>());
+        assert!(seen.iter().all(|p| p.total == r.total));
+        let last = seen.last().unwrap();
+        assert_eq!((last.no_critical, last.simulated), (r.no_critical, r.simulated));
+        assert_eq!(last.max_gap * 100.0, r.max_gap_pct);
     }
 }

@@ -8,12 +8,16 @@
 //! * with a tiny TPN size cap, simulator-era draws route through the
 //!   per-instance fallback and the byte identity still holds — the
 //!   batched runner must split every campaign into batchable and solo
-//!   work without perturbing either side.
+//!   work without perturbing either side;
+//! * on a Table 2 large-shape family, where almost every shape group has
+//!   one member, and on a small family whose groups outgrow one chunk
+//!   while the cap sends its biggest shape solo, outcomes still equal
+//!   the per-instance campaign at threads {1, 2, 4}.
 
 use proptest::prelude::*;
 use repwf_core::model::CommModel;
-use repwf_gen::campaign::{run_campaign, run_campaign_batched, CampaignResult};
-use repwf_gen::{GenConfig, Range};
+use repwf_gen::campaign::{run_campaign, run_campaign_batched, shape_stats, CampaignResult};
+use repwf_gen::{GenConfig, Range, Topology};
 
 /// Mixed-shape configuration: 3 stages over 9 processors draw many
 /// distinct replica-count vectors, so campaigns route into several batch
@@ -81,5 +85,64 @@ proptest! {
             &reference,
             &format!("count={count} threads={threads} seeds={seed_base}"),
         );
+    }
+
+    #[test]
+    fn batched_campaign_matches_on_a_large_shape_family(
+        count in 1usize..10,
+        seed_base in 1u64..100_000,
+    ) {
+        // Table 2's (10,20) strict family: shapes almost never repeat, so
+        // nearly every chunk is a single rebuild solve.
+        let cfg = GenConfig {
+            stages: 10,
+            procs: 20,
+            comp: Range::new(5.0, 15.0),
+            comm: Range::new(5.0, 15.0),
+        };
+        let reference = run_campaign(&cfg, CommModel::Strict, count, seed_base, 1, 2_000_000);
+        for threads in [1, 2, 4] {
+            let batched =
+                run_campaign_batched(&cfg, CommModel::Strict, count, seed_base, threads, 2_000_000);
+            assert_bitwise_eq(
+                &batched,
+                &reference,
+                &format!("(10,20) count={count} threads={threads} seeds={seed_base}"),
+            );
+        }
+    }
+
+    #[test]
+    fn batched_campaign_matches_when_groups_span_several_chunks(
+        count in 80usize..120,
+        seed_base in 1u64..100_000,
+    ) {
+        // (2,6) draws the shapes (3,3), (2,4), (4,2), (1,5) and (5,1); 80+
+        // seeds put about 30 in the (3,3) group, beyond one 16-seed chunk.
+        // Cap 12 keeps (3,3) and (2,4) (9 and 12 transitions) and sends
+        // (1,5) (15) to the simulator.
+        let cfg = GenConfig {
+            stages: 2,
+            procs: 6,
+            comp: Range::constant(1.0),
+            comm: Range::new(5.0, 10.0),
+        };
+        let cap = 12;
+        let reference = run_campaign(&cfg, CommModel::Strict, count, seed_base, 1, cap);
+        let stats =
+            shape_stats(&cfg, &Topology::chain(2), CommModel::Strict, count, seed_base, cap);
+        prop_assert_eq!(
+            stats.structural.csr_builds + stats.structural.patched_solves,
+            (count - reference.count_simulated()) as u64
+        );
+        for threads in [1, 2, 4] {
+            let batched =
+                run_campaign_batched(&cfg, CommModel::Strict, count, seed_base, threads, cap);
+            assert_bitwise_eq(
+                &batched,
+                &reference,
+                &format!("(2,6) count={count} threads={threads} seeds={seed_base}"),
+            );
+        }
     }
 }

@@ -46,13 +46,14 @@ pub enum CounterId {
     MctStageRecomputes,
     /// Stages served from the `MctCache` without recomputation.
     MctStageHits,
-    /// Distinct shape groups routed by the batched campaign scheduler.
+    /// Distinct shape groups routed by the shape-sorted campaign runner.
     ShapeGroups,
-    /// Batch chunks dispatched (each chunk = one batched Howard task).
+    /// Shape-group chunks dispatched (each = one rebuild solve, then
+    /// patched solves).
     BatchChunks,
-    /// Experiments solved inside batch chunks.
+    /// Experiments solved inside shape-group chunks.
     BatchedExperiments,
-    /// Experiments that overflowed the batch cap and ran solo.
+    /// Experiments over the TPN size cap that ran solo.
     SoloExperiments,
     /// Supervisor lease claims (fresh units).
     LeaseClaims,
