@@ -2,7 +2,8 @@
 //!
 //! The real content of this crate is its binaries (`src/bin/*.rs`), one per
 //! table or figure of the paper, and its criterion benches (`benches/`).
-//! See DESIGN.md §5 for the artifact ↔ binary index.
+//! README "Reproducing the paper's artifacts" is the artifact ↔ binary
+//! index.
 
 /// Formats a floating period like the paper (one decimal).
 pub fn fmt_period(p: f64) -> String {

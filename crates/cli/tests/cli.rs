@@ -511,6 +511,43 @@ fn map_exact_on_workflow_json_is_identical_at_any_thread_count() {
 }
 
 #[test]
+fn degenerate_derived_times_are_typed_errors() {
+    // The fork/join fixture with a stage whose work over its processor's
+    // speed overflows to inf (the strict model used to panic building the
+    // TPN, the overlap model printed P̂ = inf and no critical resource),
+    // and with all sizes zero (P̂ = 0, infinite throughput).
+    let text = std::fs::read_to_string(forkjoin_fixture()).expect("read fixture");
+    let overflow = text
+        .replace("\"works\": [4, 6, 5, 3]", "\"works\": [1e308, 6, 5, 3]")
+        .replace("\"speeds\": [1, 1.5", "\"speeds\": [1e-308, 1.5");
+    let zero = text
+        .replace("\"works\": [4, 6, 5, 3]", "\"works\": [0, 0, 0, 0]")
+        .replace("2.0]", "0.0]")
+        .replace("3.0]", "0.0]")
+        .replace("1.0]", "0.0]");
+    assert!(overflow != text && zero != text, "fixture layout changed");
+    let dir = std::env::temp_dir().join(format!("repwf-degenerate-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (name, doc, reason) in [
+        ("overflow.json", overflow, "(work / speed is not finite)"),
+        ("zero.json", zero, "every computation and communication time is zero"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, doc).expect("write");
+        let path = path.to_str().expect("utf8 path");
+        for model in ["strict", "overlap"] {
+            for cmd in ["period", "map"] {
+                let (out, err, code) = repwf_env(&[cmd, "--workflow", path, "--model", model], &[]);
+                assert_eq!(code, Some(2), "{cmd} {model} {name}: {out}{err}");
+                assert!(err.contains(reason), "{cmd} {model} {name}: {err}");
+                assert!(!err.contains("panicked"), "{err}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn dot_renders_the_workflow_dag_for_chains_and_forks() {
     // A chain (Example A) renders as a path: consecutive edges only.
     let (dot, err, ok) = repwf(&["dot", "workflow", "--example", "a"]);

@@ -77,7 +77,9 @@
 //! (`repwf_map::local_search`, `repwf_map::annealing`) enable warm starts.
 
 use crate::cycle_time::{max_cycle_time_view, prefix_cycle_bound, MctCache};
-use crate::model::{CommModel, Instance, InstanceView, Mapping, ModelError, Pipeline, Platform};
+use crate::model::{
+    CommModel, DegenerateTimes, Instance, InstanceView, Mapping, ModelError, Pipeline, Platform,
+};
 use crate::overlap_poly::{overlap_period_view, Bottleneck};
 use crate::paths::mapping_num_paths;
 use crate::period::{Method, PeriodError, PeriodReport};
@@ -479,6 +481,9 @@ pub struct MappingOracle<'a> {
     speed_ok: Vec<bool>,
     /// `bw_ok[u·p + v]`: link `u → v` has a positive finite bandwidth.
     bw_ok: Vec<bool>,
+    /// The derived-time check of the pair, made once at construction (see
+    /// [`MappingOracle::validate`]).
+    times: Result<(), ModelError>,
     /// Incremental `M_ct`: per-stage cycle-times cached across candidate
     /// evaluations; a move re-examines only the stages it touched (and
     /// their neighbors). Sound here because the oracle pins one
@@ -497,19 +502,20 @@ impl<'a> MappingOracle<'a> {
     /// starts, previously grown arenas — all carried over).
     pub fn with_engine(pipeline: &'a Pipeline, platform: &'a Platform, engine: PeriodEngine) -> Self {
         let p = platform.num_procs();
-        let speed_ok = (0..p)
+        let speed_ok: Vec<bool> = (0..p)
             .map(|u| {
                 let s = platform.speed(u);
                 s.is_finite() && s > 0.0
             })
             .collect();
-        let bw_ok = (0..p * p)
+        let bw_ok: Vec<bool> = (0..p * p)
             .map(|k| {
                 let b = platform.bandwidth(k / p, k % p);
                 b.is_finite() && b > 0.0
             })
             .collect();
-        MappingOracle { pipeline, platform, engine, speed_ok, bw_ok, mct: MctCache::new() }
+        let times = pair_times(pipeline, platform, &speed_ok, &bw_ok);
+        MappingOracle { pipeline, platform, engine, speed_ok, bw_ok, times, mct: MctCache::new() }
     }
 
     /// Enables/disables warm-started policy iteration on the owned engine
@@ -600,9 +606,16 @@ impl<'a> MappingOracle<'a> {
         bound
     }
 
-    /// Validates a candidate against the borrowed pair — exactly the
-    /// accept/reject (and error) behavior of [`Instance::new`], but from
-    /// the precomputed per-processor/per-link tables.
+    /// Validates a candidate against the borrowed pair — the structural
+    /// accept/reject (and error) behavior of [`Instance::new`], from the
+    /// precomputed per-processor/per-link tables — and then returns the
+    /// pair's derived-time verdict, computed once at construction: when
+    /// some stage over some usable processor, or some file over some
+    /// usable link, takes a non-finite time, or when every time is zero,
+    /// every candidate is rejected with
+    /// [`ModelError::DegenerateTimes`]. That is stricter than
+    /// [`Instance::new`], which looks only at the processors a mapping
+    /// uses, and it costs no per-candidate work.
     pub fn validate(&self, mapping: &Mapping) -> Result<(), ModelError> {
         let p = self.platform.num_procs();
         if self.pipeline.num_stages() != mapping.num_stages() {
@@ -635,7 +648,7 @@ impl<'a> MappingOracle<'a> {
                 }
             }
         }
-        Ok(())
+        self.times.clone()
     }
 
     /// Validates `mapping` and computes its period report. Results are
@@ -651,6 +664,53 @@ impl<'a> MappingOracle<'a> {
         let view =
             InstanceView { pipeline: self.pipeline, platform: self.platform, mapping };
         self.engine.compute_view_mct(view, model, method, Some(&mut self.mct))
+    }
+}
+
+/// The derived-time check of a pipeline/platform pair over every usable
+/// processor and link. Division rounds monotonically, so the largest
+/// time is the largest size over the smallest speed (bandwidth), and
+/// checking it covers every candidate mapping.
+fn pair_times(
+    pipeline: &Pipeline,
+    platform: &Platform,
+    speed_ok: &[bool],
+    bw_ok: &[bool],
+) -> Result<(), ModelError> {
+    let p = platform.num_procs();
+    let largest_work =
+        (0..pipeline.num_stages()).max_by(|&a, &b| pipeline.work(a).total_cmp(&pipeline.work(b)));
+    let largest_file =
+        (0..pipeline.num_edges()).max_by(|&a, &b| pipeline.file(a).total_cmp(&pipeline.file(b)));
+    let speed = |u: usize| platform.speed(u);
+    let bandwidth = |k: usize| platform.bandwidth(k / p, k % p);
+    let slowest_proc =
+        (0..p).filter(|&u| speed_ok[u]).min_by(|&a, &b| speed(a).total_cmp(&speed(b)));
+    // A processor runs one stage, so a used link never connects a
+    // processor to itself.
+    let slowest_link = (0..p * p)
+        .filter(|&k| bw_ok[k] && k / p != k % p)
+        .min_by(|&a, &b| bandwidth(a).total_cmp(&bandwidth(b)));
+    let mut max_time = 0.0f64;
+    if let (Some(stage), Some(proc)) = (largest_work, slowest_proc) {
+        let time = pipeline.work(stage) / platform.speed(proc);
+        if !time.is_finite() {
+            return Err(ModelError::DegenerateTimes(DegenerateTimes::Comp { stage, proc, time }));
+        }
+        max_time = max_time.max(time);
+    }
+    if let (Some(edge), Some(k)) = (largest_file, slowest_link) {
+        let (from, to) = (k / p, k % p);
+        let time = pipeline.file(edge) / platform.bandwidth(from, to);
+        if !time.is_finite() {
+            return Err(ModelError::DegenerateTimes(DegenerateTimes::Comm { edge, from, to, time }));
+        }
+        max_time = max_time.max(time);
+    }
+    if max_time > 0.0 {
+        Ok(())
+    } else {
+        Err(ModelError::DegenerateTimes(DegenerateTimes::AllZero))
     }
 }
 
@@ -932,6 +992,44 @@ mod tests {
             oracle.validate(&unknown),
             Err(ModelError::UnknownProcessor(9))
         ));
+    }
+
+    #[test]
+    fn oracle_rejects_degenerate_times_of_the_pair_for_every_candidate() {
+        use crate::model::{DegenerateTimes, ModelError};
+        let pipeline = Pipeline::new(vec![1e308, 1.0], vec![1.0]).unwrap();
+        let mut platform = Platform::uniform(3, 1.0, 1.0);
+        platform.set_speed(2, 1e-308);
+        let oracle = MappingOracle::new(&pipeline, &platform);
+        let overflow = Err(ModelError::DegenerateTimes(DegenerateTimes::Comp {
+            stage: 0,
+            proc: 2,
+            time: f64::INFINITY,
+        }));
+        // Processor 2 is unused here, but some candidate of the pair uses it.
+        let avoids = Mapping::new(vec![vec![0], vec![1]]).unwrap();
+        assert_eq!(oracle.validate(&avoids), overflow);
+        assert!(Instance::new(pipeline.clone(), platform.clone(), avoids).is_ok());
+
+        let mut slow_link = Platform::uniform(3, 1.0, 1.0);
+        slow_link.set_bandwidth(1, 2, 1e-308);
+        let files = Pipeline::new(vec![1.0, 1.0], vec![1e308]).unwrap();
+        let oracle = MappingOracle::new(&files, &slow_link);
+        let any = Mapping::new(vec![vec![0], vec![1]]).unwrap();
+        assert!(matches!(
+            oracle.validate(&any),
+            Err(ModelError::DegenerateTimes(DegenerateTimes::Comm { edge: 0, from: 1, to: 2, .. }))
+        ));
+
+        let zero = Pipeline::new(vec![0.0, 0.0], vec![0.0]).unwrap();
+        let uniform = Platform::uniform(3, 1.0, 1.0);
+        let oracle = MappingOracle::new(&zero, &uniform);
+        let all_zero = Err(ModelError::DegenerateTimes(DegenerateTimes::AllZero));
+        assert_eq!(oracle.validate(&any), all_zero);
+        assert_eq!(Instance::new(zero.clone(), uniform.clone(), any.clone()).err(), all_zero.err());
+
+        let fine = Pipeline::new(vec![0.0, 2.0], vec![0.0]).unwrap();
+        assert_eq!(MappingOracle::new(&fine, &uniform).validate(&any), Ok(()));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! labels of Example A and the {100, 1000} structure of Example B were
 //! recovered by constrained search against the published periods (see
 //! `repwf-bench`, bins `reconstruct_example_a` / `reconstruct_example_b`,
-//! and DESIGN.md §4).
+//! and README "Design notes: Paper fixtures").
 
 use crate::model::{Instance, Mapping, Pipeline, Platform};
 

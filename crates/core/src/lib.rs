@@ -64,5 +64,7 @@ pub mod tpn_build;
 pub mod weighted;
 
 pub use engine::PeriodEngine;
-pub use model::{CommModel, Instance, Mapping, ModelError, Pipeline, Platform, ProcId, StageId};
+pub use model::{
+    CommModel, DegenerateTimes, Instance, Mapping, ModelError, Pipeline, Platform, ProcId, StageId,
+};
 pub use period::{compute_period, Method, PeriodReport};

@@ -88,6 +88,36 @@ pub enum ModelError {
     /// under series-parallel reduction (merge parallel edges, contract
     /// degree-(1,1) internal stages).
     NotSeriesParallel,
+    /// The times derived from sizes, speeds and bandwidths leave the
+    /// period without a finite positive value.
+    DegenerateTimes(DegenerateTimes),
+}
+
+/// Why the derived times of an instance admit no finite positive period.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DegenerateTimes {
+    /// `w_stage / Π_proc` is not finite.
+    Comp {
+        /// the stage
+        stage: StageId,
+        /// the processor
+        proc: ProcId,
+        /// the offending time
+        time: f64,
+    },
+    /// `δ_edge / b_{from,to}` is not finite.
+    Comm {
+        /// the precedence edge
+        edge: EdgeId,
+        /// sending processor
+        from: ProcId,
+        /// receiving processor
+        to: ProcId,
+        /// the offending time
+        time: f64,
+    },
+    /// Every derived time is zero: the period would be 0.
+    AllZero,
 }
 
 impl fmt::Display for ModelError {
@@ -120,6 +150,17 @@ impl fmt::Display for ModelError {
             }
             ModelError::NotSeriesParallel => {
                 write!(f, "precedence graph is not two-terminal series-parallel")
+            }
+            ModelError::DegenerateTimes(DegenerateTimes::Comp { stage, proc, time }) => write!(
+                f,
+                "stage {stage} on processor {proc} takes {time} (work / speed is not finite)"
+            ),
+            ModelError::DegenerateTimes(DegenerateTimes::Comm { edge, from, to, time }) => write!(
+                f,
+                "edge {edge} over link {from}->{to} takes {time} (size / bandwidth is not finite)"
+            ),
+            ModelError::DegenerateTimes(DegenerateTimes::AllZero) => {
+                write!(f, "every computation and communication time is zero (the period would be 0)")
             }
         }
     }
@@ -539,9 +580,12 @@ pub struct Instance {
 impl Instance {
     /// Bundles and cross-validates the three components: stage counts agree,
     /// mapped processors exist, speeds of used processors and bandwidths of
-    /// used links are positive and finite.
+    /// used links are positive and finite, and the derived times are
+    /// usable ([`InstanceView::check_times`]).
     pub fn new(pipeline: Pipeline, platform: Platform, mapping: Mapping) -> Result<Self, ModelError> {
-        InstanceView { pipeline: &pipeline, platform: &platform, mapping: &mapping }.validate()?;
+        let view = InstanceView { pipeline: &pipeline, platform: &platform, mapping: &mapping };
+        view.validate()?;
+        view.check_times()?;
         Ok(Instance { pipeline, platform, mapping })
     }
 
@@ -601,8 +645,10 @@ impl<'a> From<&'a Instance> for InstanceView<'a> {
 }
 
 impl<'a> InstanceView<'a> {
-    /// Bundles and validates a borrowed triple (same checks as
-    /// [`Instance::new`], no clones).
+    /// Bundles and validates a borrowed triple (the structural checks of
+    /// [`Instance::new`], no clones). Derived times are checked where
+    /// inputs enter — [`Instance::new`], `MappingOracle` construction —
+    /// not once per candidate view.
     pub fn new(
         pipeline: &'a Pipeline,
         platform: &'a Platform,
@@ -648,6 +694,43 @@ impl<'a> InstanceView<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Checks the times the period is computed from: every `w_i / Π_u` on a
+    /// mapped processor and every `δ_e / b_{u,v}` on a used link must be
+    /// finite, and at least one must be positive. Huge sizes over tiny
+    /// speeds overflow to `inf` (the period would be `inf`), and all-zero
+    /// times give a period of 0. Call after [`InstanceView::validate`].
+    pub fn check_times(&self) -> Result<(), ModelError> {
+        let mut any_positive = false;
+        for i in 0..self.mapping.num_stages() {
+            for &u in self.mapping.procs(i) {
+                let time = self.comp_time(i, u);
+                if !time.is_finite() {
+                    let bad = DegenerateTimes::Comp { stage: i, proc: u, time };
+                    return Err(ModelError::DegenerateTimes(bad));
+                }
+                any_positive |= time > 0.0;
+            }
+        }
+        for e in 0..self.pipeline.num_edges() {
+            let (src, dst) = self.pipeline.edge(e);
+            for &u in self.mapping.procs(src) {
+                for &v in self.mapping.procs(dst) {
+                    let time = self.comm_time(e, u, v);
+                    if !time.is_finite() {
+                        let bad = DegenerateTimes::Comm { edge: e, from: u, to: v, time };
+                        return Err(ModelError::DegenerateTimes(bad));
+                    }
+                    any_positive |= time > 0.0;
+                }
+            }
+        }
+        if any_positive {
+            Ok(())
+        } else {
+            Err(ModelError::DegenerateTimes(DegenerateTimes::AllZero))
+        }
     }
 
     /// Deep-copies the view into an owned [`Instance`] (for the rare paths
@@ -707,6 +790,42 @@ mod tests {
             Err(ModelError::InvalidSize(_))
         ));
         assert!(Pipeline::new(vec![5.0], vec![]).is_ok());
+    }
+
+    #[test]
+    fn non_finite_or_all_zero_derived_times_are_rejected() {
+        let mapping = || Mapping::new(vec![vec![0], vec![1, 2]]).unwrap();
+        let mut slow = Platform::uniform(3, 1.0, 1.0);
+        slow.set_speed(2, 1e-308);
+        let pipeline = Pipeline::new(vec![1.0, 1e308], vec![1.0]).unwrap();
+        assert_eq!(
+            Instance::new(pipeline, slow, mapping()).err(),
+            Some(ModelError::DegenerateTimes(DegenerateTimes::Comp {
+                stage: 1,
+                proc: 2,
+                time: f64::INFINITY
+            }))
+        );
+        let mut thin = Platform::uniform(3, 1.0, 1.0);
+        thin.set_bandwidth(0, 1, 1e-308);
+        let pipeline = Pipeline::new(vec![1.0, 1.0], vec![1e308]).unwrap();
+        assert_eq!(
+            Instance::new(pipeline, thin, mapping()).err(),
+            Some(ModelError::DegenerateTimes(DegenerateTimes::Comm {
+                edge: 0,
+                from: 0,
+                to: 1,
+                time: f64::INFINITY
+            }))
+        );
+        let zero = Pipeline::new(vec![0.0, 0.0], vec![0.0]).unwrap();
+        assert_eq!(
+            Instance::new(zero, Platform::uniform(3, 1.0, 1.0), mapping()).err(),
+            Some(ModelError::DegenerateTimes(DegenerateTimes::AllZero))
+        );
+        // One positive time is enough.
+        let comm_only = Pipeline::new(vec![0.0, 0.0], vec![1.0]).unwrap();
+        assert!(Instance::new(comm_only, Platform::uniform(3, 1.0, 1.0), mapping()).is_ok());
     }
 
     #[test]

@@ -56,6 +56,8 @@ pub mod bruteforce;
 pub mod closure;
 pub mod graph;
 pub mod howard;
+#[cfg(test)]
+mod howard_oracle;
 pub mod karp;
 pub mod lawler;
 pub mod matrix;

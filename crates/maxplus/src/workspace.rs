@@ -24,17 +24,34 @@
 //! may settle on the other member of the tie and report its bit pattern.
 //!
 //! All algorithms work per strongly connected component directly on the
-//! global vertex ids, slicing the shared CSR and filtering edges by
-//! component id — no per-SCC subgraph is ever materialized (the old
-//! implementation re-allocated a restricted [`RatioGraph`] per component).
+//! global vertex ids, slicing the shared CSR — no per-SCC subgraph is ever
+//! materialized (the old implementation re-allocated a restricted
+//! [`RatioGraph`] per component). Karp filters edges by component id.
+//! Howard reads a **solver plan** instead: at the first Howard solve after
+//! a condensation, each cyclic component's *choice* vertices (two or more
+//! in-component out-edges, in member order) are listed with inline
+//! `(CSR position, target)` pairs. Every other member has exactly one
+//! in-component edge, which no improvement step can replace, so the
+//! improvement sweeps visit choice vertices only and test no component
+//! ids.
+//!
+//! Policy evaluation keeps `ptarget[v]`, the target of `v`'s policy edge,
+//! next to the policy, so a walk step is one load. Visits are stamped from
+//! a monotone `u64` clock kept in the scratch, so no state array is reset
+//! between evaluations. A settled walk carries λ in one register and the
+//! potential in an accumulator. All three keep Howard's trajectory: the
+//! same policies, the same floating-point operations in the same order and
+//! the same witness bits as the plain per-edge formulation, which a
+//! `#[cfg(test)]` reference copy pins bit for bit.
 //!
 //! The top reuse tier is the **structure cache**:
 //! [`Workspace::max_cycle_ratio_cached`] takes a caller-supplied structure
 //! token and, when it matches the token of the previous successful cached
-//! solve (and the graph dimensions agree), skips the CSR construction *and*
-//! Tarjan's condensation entirely — only the structure-of-arrays cost
-//! mirror is refreshed from the graph's (possibly re-weighted) edge list
-//! before jumping straight into (optionally warm-started) Howard. This is
+//! solve (and the graph dimensions agree), skips the CSR construction,
+//! Tarjan's condensation and the solver plan entirely — only the
+//! structure-of-arrays cost mirror is refreshed from the graph's (possibly
+//! re-weighted) edge list before jumping straight into (optionally
+//! warm-started) Howard. This is
 //! what makes a shape-preserving patched oracle call structurally free:
 //! the whole per-solve cost is one cost sweep plus the policy iterations.
 //! The cache is invalidated on any token or dimension miss, on a solve
@@ -197,6 +214,160 @@ impl<'a> SccView<'a> {
     }
 }
 
+/// The per-structure Howard solver plan: for every cyclic component, in
+/// condensation order, its *fixed* members — exactly one in-component
+/// out-edge, so their policy edge can never switch — and its *choice*
+/// members (≥ 2 in-component out-edges, in member order) with their
+/// in-component alternatives inlined as `(CSR position, target)` pairs.
+///
+/// Purely structural (no costs): built once per condensation, at the first
+/// Howard solve after it, and reused by every structure-cached solve on
+/// that condensation. The improvement sweeps iterate the choice lists
+/// only, so no per-edge component filter runs inside policy iteration.
+#[derive(Debug, Clone, Default)]
+struct SolverPlan {
+    /// The cyclic components, in condensation order.
+    comps: Vec<PlanSpan>,
+    /// `(vertex, CSR position)` of the fixed members.
+    fixed: Vec<(u32, u32)>,
+    /// `(vertex, end of its alternatives in alts)` of the choice members;
+    /// a choice vertex's alternatives start where the previous one's end.
+    choice: Vec<(u32, u32)>,
+    /// `(CSR position, target)` alternatives of the choice members.
+    alts: Vec<(u32, u32)>,
+}
+
+/// A cyclic component of a [`SolverPlan`]: its id and where its entries
+/// in `fixed` and `choice` end (they start where the previous
+/// component's end).
+#[derive(Debug, Clone, Copy)]
+struct PlanSpan {
+    comp: u32,
+    fixed_end: u32,
+    choice_end: u32,
+}
+
+impl SolverPlan {
+    fn build(&mut self, csr: &Csr, scc: SccView<'_>) {
+        let to = csr.targets();
+        self.comps.clear();
+        self.fixed.clear();
+        self.choice.clear();
+        self.alts.clear();
+        // One allocation each on a fresh workspace.
+        let n = scc.components().len();
+        self.fixed.reserve(n);
+        self.choice.reserve(n);
+        self.alts.reserve(to.len());
+        for c in 0..scc.num_components() {
+            let members = scc.members(c);
+            let cyclic = members.len() > 1 || to[csr.range(members[0])].contains(&members[0]);
+            if !cyclic {
+                continue;
+            }
+            for &v in members {
+                let start = self.alts.len();
+                for p in csr.range(v) {
+                    if scc.component_of(to[p]) == c as u32 {
+                        self.alts.push((p as u32, to[p]));
+                    }
+                }
+                debug_assert!(self.alts.len() > start, "SCC vertex must have an in-component out-edge");
+                if self.alts.len() - start == 1 {
+                    let (p, _) = self.alts.pop().expect("one alternative was just pushed");
+                    self.fixed.push((v, p));
+                } else {
+                    self.choice.push((v, self.alts.len() as u32));
+                }
+            }
+            self.comps.push(PlanSpan {
+                comp: c as u32,
+                fixed_end: self.fixed.len() as u32,
+                choice_end: self.choice.len() as u32,
+            });
+        }
+    }
+
+    /// The plan of the `k`-th cyclic component.
+    fn component<'a>(&'a self, k: usize, scc: SccView<'a>) -> PlanComponent<'a> {
+        let span = self.comps[k];
+        let (fixed_start, choice_start) = match k {
+            0 => (0, 0),
+            _ => (self.comps[k - 1].fixed_end as usize, self.comps[k - 1].choice_end as usize),
+        };
+        PlanComponent {
+            members: scc.members(span.comp as usize),
+            fixed: &self.fixed[fixed_start..span.fixed_end as usize],
+            choice: &self.choice[choice_start..span.choice_end as usize],
+            alt_start: choice_start.checked_sub(1).map_or(0, |i| self.choice[i].1 as usize),
+            alts: &self.alts,
+        }
+    }
+}
+
+/// One cyclic component's slice of a [`SolverPlan`].
+#[derive(Clone, Copy)]
+struct PlanComponent<'a> {
+    members: &'a [u32],
+    fixed: &'a [(u32, u32)],
+    choice: &'a [(u32, u32)],
+    /// Where `choice[0]`'s alternatives start in `alts`.
+    alt_start: usize,
+    alts: &'a [(u32, u32)],
+}
+
+impl<'a> PlanComponent<'a> {
+    /// `(vertex, alternatives)` of every choice member, in member order.
+    fn choices(&self) -> impl Iterator<Item = (usize, &'a [(u32, u32)])> {
+        let alts = self.alts;
+        let mut start = self.alt_start;
+        self.choice.iter().map(move |&(v, end)| {
+            let own = &alts[start..end as usize];
+            start = end as usize;
+            (v as usize, own)
+        })
+    }
+
+    /// The alternatives of every choice member.
+    fn all_alts(&self) -> &'a [(u32, u32)] {
+        let end = self.choice.last().map_or(self.alt_start, |&(_, end)| end as usize);
+        &self.alts[self.alt_start..end]
+    }
+}
+
+/// Howard's per-vertex iteration state over global vertex ids.
+#[derive(Debug, Clone, Default)]
+struct HowardScratch {
+    /// `policy[v]` is a CSR position inside `csr.range(v)`.
+    policy: Vec<u32>,
+    /// `ptarget[v] = csr.targets()[policy[v]]`, written with every policy
+    /// write so that walks chase one load per step.
+    ptarget: Vec<u32>,
+    lambda: Vec<f64>,
+    potential: Vec<f64>,
+    /// Visit stamps. Every visit takes a fresh stamp `clock += 1`, so a
+    /// vertex was visited after the clock read `base` iff
+    /// `mark[v] > base`: no reset pass between evaluations.
+    mark: Vec<u64>,
+    clock: u64,
+    path: Vec<u32>,
+}
+
+impl HowardScratch {
+    /// Sizes every array for `n` vertices. A cold start forgets the stored
+    /// policy; the other arrays are written before they are read.
+    fn fit(&mut self, n: usize, warm_ok: bool) {
+        if !warm_ok {
+            self.policy.clear();
+        }
+        self.policy.resize(n, u32::MAX);
+        self.ptarget.resize(n, u32::MAX);
+        self.lambda.resize(n, f64::NEG_INFINITY);
+        self.potential.resize(n, 0.0);
+        self.mark.resize(n, 0);
+    }
+}
+
 /// Owned scratch state shared by the cycle-ratio solvers.
 ///
 /// Create once, then call [`Workspace::max_cycle_ratio`] (or the warm /
@@ -215,27 +386,26 @@ pub struct Workspace {
     on_stack: Vec<bool>,
     vstack: Vec<u32>,
     frames: Vec<(u32, u32)>,
-    // Howard policy iteration. `policy[v]` is a CSR *position* (an index
-    // into the SoA arrays of `csr`), always inside `csr.range(v)`.
-    policy: Vec<u32>,
-    lambda: Vec<f64>,
-    potential: Vec<f64>,
-    state: Vec<u8>,
-    walk_pos: Vec<u32>,
-    path: Vec<u32>,
-    /// `(num_vertices, num_edges)` of the graph the converged `policy`
+    /// Howard's plan of the current condensation; valid iff `plan_ready`
+    /// (cleared on every CSR rebuild).
+    plan: SolverPlan,
+    plan_ready: bool,
+    howard: HowardScratch,
+    /// `(num_vertices, num_edges)` of the graph the converged policy
     /// belongs to; `None` until a solve completes.
     warm_sig: Option<(usize, usize)>,
     /// `(structure token, num_vertices, num_edges)` of the graph whose CSR
-    /// adjacency and Tarjan condensation are currently cached; `None`
-    /// whenever the cached arrays may not describe the next graph (after a
-    /// solve error, a token/dimension miss, or any other solver rebuilding
-    /// the CSR). See [`Workspace::max_cycle_ratio_cached`].
+    /// adjacency, Tarjan condensation and solver plan are currently
+    /// cached; `None` whenever the cached arrays may not describe the next
+    /// graph (after a solve error, a token/dimension miss, or any other
+    /// solver rebuilding the CSR). See [`Workspace::max_cycle_ratio_cached`].
     struct_sig: Option<(u64, usize, usize)>,
     /// How many times the CSR adjacency was (re)built.
     csr_builds: u64,
     /// How many times Tarjan's condensation ran.
     tarjan_runs: u64,
+    /// Howard policy-improvement iterations run by converged components.
+    howard_iterations: u64,
     // Karp rolling rows (O(V) — see `crate::karp`).
     row_prev: Vec<f64>,
     row_cur: Vec<f64>,
@@ -245,6 +415,7 @@ pub struct Workspace {
     // Lawler Bellman–Ford state and zero-token-subgraph DFS.
     dist: Vec<f64>,
     pred: Vec<u32>,
+    cycle_edges: Vec<u32>,
     color: Vec<u8>,
     parent: Vec<u32>,
 }
@@ -259,6 +430,10 @@ impl Workspace {
     /// returns a borrowed view (no per-call allocation after warm-up).
     pub fn scc(&mut self, g: &RatioGraph) -> SccView<'_> {
         self.condense(g);
+        self.scc_view()
+    }
+
+    fn scc_view(&self) -> SccView<'_> {
         SccView {
             comp: &self.comp,
             comp_offsets: &self.comp_offsets,
@@ -272,6 +447,7 @@ impl Workspace {
     fn rebuild_csr(&mut self, g: &RatioGraph) {
         let _span = repwf_obs::span!(CsrBuild);
         self.struct_sig = None;
+        self.plan_ready = false;
         self.csr.build(g);
         self.csr_builds += 1;
         repwf_obs::counter_add(repwf_obs::CounterId::CsrBuilds, 1);
@@ -282,7 +458,7 @@ impl Workspace {
         self.rebuild_csr(g);
         let _span = repwf_obs::span!(Tarjan);
         tarjan_flat(
-            g,
+            g.num_vertices(),
             &self.csr,
             &mut self.index,
             &mut self.lowlink,
@@ -308,6 +484,25 @@ impl Workspace {
     /// Number of Tarjan condensation runs performed by this workspace.
     pub fn tarjan_runs(&self) -> u64 {
         self.tarjan_runs
+    }
+
+    /// Howard policy-improvement iterations run by this workspace's solves
+    /// — the per-workspace mirror of the `howard_iters_cold` /
+    /// `howard_iters_warm` telemetry counters (counted per converged
+    /// component, so a failing solve adds those of the components it
+    /// finished first).
+    pub fn howard_iterations(&self) -> u64 {
+        self.howard_iterations
+    }
+
+    /// Builds the solver plan of the current condensation unless it is
+    /// already built.
+    fn ensure_plan(&mut self) {
+        if !self.plan_ready {
+            let Workspace { csr, comp, comp_offsets, comp_vertices, plan, .. } = self;
+            plan.build(csr, SccView { comp, comp_offsets, comp_vertices });
+            self.plan_ready = true;
+        }
     }
 
     /// Howard's policy iteration with cold-started (deterministic) policy
@@ -401,7 +596,8 @@ impl Workspace {
     /// (sequential) CSR build + Tarjan condensation, the cyclic components
     /// are solved as independent tasks on the [`repwf_par`] work-stealing
     /// pool — each worker runs the ordinary cold `howard_component` on
-    /// its own full-size scratch arrays over the shared read-only CSR —
+    /// its own full-size scratch arrays over the shared read-only CSR and
+    /// solver plan —
     /// and the per-component witnesses are folded **in condensation
     /// order** on the calling thread.
     ///
@@ -422,69 +618,34 @@ impl Workspace {
         let ne = g.num_edges();
         self.warm_sig = None;
         self.condense(g); // also clears struct_sig (rebuild_csr)
+        self.ensure_plan();
         let max_iters = 64 + 8 * n + ne;
 
-        let csr = &self.csr;
-        let comp = &self.comp[..];
-        let comp_offsets = &self.comp_offsets[..];
-        let comp_vertices = &self.comp_vertices[..];
-        let members_of = |c: usize| -> &[u32] {
-            &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize]
-        };
-        let cyclic: Vec<u32> = (0..comp_offsets.len() - 1)
-            .filter(|&c| {
-                let members = members_of(c);
-                members.len() > 1
-                    || csr.targets()[csr.range(members[0])].contains(&members[0])
-            })
-            .map(|c| c as u32)
-            .collect();
-
-        // Per-worker scratch: full-size global-vertex-id arrays, exactly
-        // what `howard_component` expects. Initial values are irrelevant —
-        // every member entry is written (cold policy init, policy
-        // evaluation) before it is read.
-        struct ParScratch {
-            policy: Vec<u32>,
-            lambda: Vec<f64>,
-            potential: Vec<f64>,
-            state: Vec<u8>,
-            walk_pos: Vec<u32>,
-            path: Vec<u32>,
-        }
+        let (csr, plan, scc) = (&self.csr, &self.plan, self.scc_view());
+        // Per-worker scratch over global vertex ids; the plan is shared
+        // read-only.
         let results = repwf_par::par_map_init(
             threads,
-            cyclic.len(),
-            || ParScratch {
-                policy: vec![u32::MAX; n],
-                lambda: vec![f64::NEG_INFINITY; n],
-                potential: vec![0.0; n],
-                state: vec![0; n],
-                walk_pos: vec![0; n],
-                path: Vec::new(),
+            plan.comps.len(),
+            || {
+                let mut s = HowardScratch::default();
+                s.fit(n, false);
+                s
             },
-            |s, i| {
-                let c = cyclic[i];
-                howard_component(
-                    csr,
-                    comp,
-                    c,
-                    members_of(c as usize),
-                    false,
-                    &mut s.policy,
-                    &mut s.lambda,
-                    &mut s.potential,
-                    &mut s.state,
-                    &mut s.walk_pos,
-                    &mut s.path,
-                    max_iters,
-                )
+            |s, k| {
+                let r = howard_component(csr, plan.component(k, scc), false, s, max_iters);
+                if let Ok((_, iters)) = r {
+                    count_iterations(false, iters);
+                }
+                r
             },
         );
 
+        self.howard_iterations +=
+            results.iter().filter_map(|r| r.as_ref().ok()).map(|&(_, iters)| iters).sum::<u64>();
         let mut best: Option<CycleSolution> = None;
         for r in results {
-            let sol = r?;
+            let (sol, _) = r?;
             if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
                 best = Some(sol);
             }
@@ -497,7 +658,7 @@ impl Workspace {
         g.validate()?;
         let n = g.num_vertices();
         let ne = g.num_edges();
-        let warm_ok = warm && self.warm_sig == Some((n, ne)) && self.policy.len() == n;
+        let warm_ok = warm && self.warm_sig == Some((n, ne)) && self.howard.policy.len() == n;
         repwf_obs::counter_add(
             if warm_ok {
                 repwf_obs::CounterId::HowardSolvesWarm
@@ -514,25 +675,14 @@ impl Workspace {
         self.warm_sig = None;
         self.struct_sig = None;
         if structure_ok {
-            // Structure hit: the CSR and condensation describe `g` already;
-            // only the costs may have been re-weighted since.
+            // Structure hit: the CSR, condensation and plan describe `g`
+            // already; only the costs may have been re-weighted since.
             self.csr.refresh_costs(g);
         } else {
             self.condense(g);
         }
-
-        if !warm_ok {
-            self.policy.clear();
-            self.policy.resize(n, u32::MAX);
-        }
-        self.lambda.clear();
-        self.lambda.resize(n, f64::NEG_INFINITY);
-        self.potential.clear();
-        self.potential.resize(n, 0.0);
-        self.state.clear();
-        self.state.resize(n, 0);
-        self.walk_pos.clear();
-        self.walk_pos.resize(n, 0);
+        self.ensure_plan();
+        self.howard.fit(n, warm_ok);
 
         // Generous bound: each iteration strictly improves (λ, x); policies
         // are finite. Guards against floating-point livelock.
@@ -543,28 +693,18 @@ impl Workspace {
             comp,
             comp_offsets,
             comp_vertices,
-            policy,
-            lambda,
-            potential,
-            state,
-            walk_pos,
-            path,
+            plan,
+            howard,
+            howard_iterations,
             ..
         } = self;
-
+        let scc = SccView { comp, comp_offsets, comp_vertices };
         let mut best: Option<CycleSolution> = None;
-        for c in 0..comp_offsets.len() - 1 {
-            let members =
-                &comp_vertices[comp_offsets[c] as usize..comp_offsets[c + 1] as usize];
-            let cyclic = members.len() > 1
-                || csr.targets()[csr.range(members[0])].contains(&members[0]);
-            if !cyclic {
-                continue;
-            }
-            let sol = howard_component(
-                csr, comp, c as u32, members, warm_ok, policy, lambda, potential, state,
-                walk_pos, path, max_iters,
-            )?;
+        for k in 0..plan.comps.len() {
+            let (sol, iters) =
+                howard_component(csr, plan.component(k, scc), warm_ok, howard, max_iters)?;
+            count_iterations(warm_ok, iters);
+            *howard_iterations += iters;
             if best.as_ref().is_none_or(|b| sol.ratio > b.ratio) {
                 best = Some(sol);
             }
@@ -653,18 +793,18 @@ impl Workspace {
         let mut best: Option<CycleSolution> = None;
 
         // First probe at `lo` decides whether any circuit exists at all.
-        if !positive_cycle(g, lo, &mut self.dist, &mut self.pred, &mut self.path) {
+        if !positive_cycle(g, lo, &mut self.dist, &mut self.pred, &mut self.cycle_edges) {
             return Ok(None);
         }
-        let sol = exact_solution(g, &self.path)?;
+        let sol = exact_solution(g, &self.cycle_edges)?;
         lo = sol.ratio;
         best = pick_best(best, sol);
 
         let eps = cost_sum * 1e-13;
         while hi - lo > eps {
             let mid = 0.5 * (lo + hi);
-            if positive_cycle(g, mid, &mut self.dist, &mut self.pred, &mut self.path) {
-                let sol = exact_solution(g, &self.path)?;
+            if positive_cycle(g, mid, &mut self.dist, &mut self.pred, &mut self.cycle_edges) {
+                let sol = exact_solution(g, &self.cycle_edges)?;
                 // The witness has ratio > mid; snap the lower bound to it.
                 lo = sol.ratio.max(mid);
                 best = pick_best(best, sol);
@@ -742,7 +882,7 @@ impl Workspace {
 /// [`crate::scc::tarjan_scc`].
 #[allow(clippy::too_many_arguments)]
 fn tarjan_flat(
-    g: &RatioGraph,
+    n: usize,
     csr: &Csr,
     index: &mut Vec<u32>,
     lowlink: &mut Vec<u32>,
@@ -753,7 +893,6 @@ fn tarjan_flat(
     comp_offsets: &mut Vec<u32>,
     comp_vertices: &mut Vec<u32>,
 ) {
-    let n = g.num_vertices();
     const UNSET: u32 = u32::MAX;
     index.clear();
     index.resize(n, UNSET);
@@ -769,7 +908,7 @@ fn tarjan_flat(
     comp_offsets.push(0);
     comp_vertices.clear();
 
-    let edges = g.edges();
+    let to = csr.targets();
     let mut next_index = 0u32;
     for root in 0..n as u32 {
         if index[root as usize] != UNSET {
@@ -784,11 +923,10 @@ fn tarjan_flat(
 
         while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
             let vi = v as usize;
-            let outs = csr.out_edges(v);
+            let outs = &to[csr.range(v)];
             if (*pos as usize) < outs.len() {
-                let e = &edges[outs[*pos as usize] as usize];
+                let w = outs[*pos as usize];
                 *pos += 1;
-                let w = e.to;
                 let wi = w as usize;
                 if index[wi] == UNSET {
                     index[wi] = next_index;
@@ -824,26 +962,35 @@ fn tarjan_flat(
     }
 }
 
+/// Adds a component's converged iteration count to the telemetry counter
+/// of its start kind.
+fn count_iterations(warm_ok: bool, iters: u64) {
+    repwf_obs::counter_add(
+        if warm_ok {
+            repwf_obs::CounterId::HowardItersWarm
+        } else {
+            repwf_obs::CounterId::HowardItersCold
+        },
+        iters,
+    );
+}
+
 /// Howard's iteration on one strongly connected component, operating on
-/// global vertex ids with edges filtered by component membership. All edge
-/// data is read from the CSR's structure-of-arrays mirror
-/// (`targets`/`costs`/`token_counts`), so the improvement loops stream
-/// three contiguous arrays; `policy` holds CSR positions.
-#[allow(clippy::too_many_arguments)]
+/// global vertex ids. Edge costs and token counts are read from the CSR's
+/// structure-of-arrays mirror; the component's in-component edges come
+/// from its [`SolverPlan`] slice, and only choice vertices are visited by
+/// the improvement sweeps (a fixed vertex's single candidate is its
+/// current policy edge, which neither improvement test can beat).
+///
+/// Returns the witness and the number of policy iterations until
+/// convergence.
 fn howard_component(
     csr: &Csr,
-    comp: &[u32],
-    cid: u32,
-    members: &[u32],
+    pc: PlanComponent<'_>,
     warm_ok: bool,
-    policy: &mut [u32],
-    lambda: &mut [f64],
-    potential: &mut [f64],
-    state: &mut [u8],
-    walk_pos: &mut [u32],
-    path: &mut Vec<u32>,
+    s: &mut HowardScratch,
     max_iters: usize,
-) -> Result<CycleSolution, RatioGraphError> {
+) -> Result<(CycleSolution, u64), RatioGraphError> {
     let to = csr.targets();
     let cost = csr.costs();
     let tokens = csr.token_counts();
@@ -851,69 +998,63 @@ fn howard_component(
     // Improvement tolerance scaled to THIS component's costs: a huge-cost
     // component elsewhere in the graph must not inflate eps here and
     // suppress genuine improvements (per-SCC scale, as in the historical
-    // per-subgraph implementation).
+    // per-subgraph implementation). `max` of finite values is
+    // order-independent, so scanning the plan instead of the CSR ranges
+    // gives the same bits.
     let mut scale = 1.0f64;
-    for &vu in members {
-        for p in csr.range(vu) {
-            if comp[to[p] as usize] == cid {
-                scale = scale.max(cost[p].abs());
-            }
-        }
+    for &(_, p) in pc.fixed {
+        scale = scale.max(cost[p as usize].abs());
+    }
+    for &(p, _) in pc.all_alts() {
+        scale = scale.max(cost[p as usize].abs());
     }
     let eps = scale * 1e-12;
 
-    // Policy: one in-component out-edge per vertex. Cold start picks the
-    // max-cost edge (last one on ties, mirroring the historical `max_by`);
-    // warm start keeps the previous policy edge when it is still valid for
-    // this vertex and component (its position lies in the vertex's CSR
-    // range — same-shape graphs produce identical CSR layouts, so a kept
-    // position denotes the structurally same edge as in the prior solve).
-    for &vu in members {
-        let v = vu as usize;
-        let range = csr.range(vu);
-        let keep = warm_ok && {
-            let p = policy[v] as usize;
-            range.contains(&p) && comp[to[p] as usize] == cid
-        };
-        if keep {
+    // Policy: one in-component out-edge per vertex. A fixed vertex has
+    // exactly one. Cold start picks the max-cost edge (last one on ties,
+    // mirroring the historical `max_by`); warm start keeps the previous
+    // policy edge when it is still one of the vertex's in-component
+    // alternatives (same-shape graphs produce identical CSR layouts, so a
+    // kept position denotes the structurally same edge as in the prior
+    // solve).
+    for &(v, p) in pc.fixed {
+        s.policy[v as usize] = p;
+        s.ptarget[v as usize] = to[p as usize];
+    }
+    for (v, alts) in pc.choices() {
+        if let Some(&(_, t)) = alts.iter().find(|&&(p, _)| warm_ok && p == s.policy[v]) {
+            s.ptarget[v] = t;
             continue;
         }
-        let mut best_p = u32::MAX;
+        let mut best = (u32::MAX, u32::MAX);
         let mut best_cost = f64::NEG_INFINITY;
-        for p in range {
-            if comp[to[p] as usize] != cid {
-                continue;
-            }
-            if cost[p] >= best_cost {
-                best_cost = cost[p];
-                best_p = p as u32;
+        for &(p, t) in alts {
+            if cost[p as usize] >= best_cost {
+                best_cost = cost[p as usize];
+                best = (p, t);
             }
         }
-        debug_assert!(best_p != u32::MAX, "SCC vertex must have an in-component out-edge");
-        policy[v] = best_p;
+        (s.policy[v], s.ptarget[v]) = best;
     }
 
     for iter in 0..max_iters {
-        evaluate_policy(csr, members, policy, lambda, potential, state, walk_pos, path)?;
+        evaluate_policy(csr, pc.members, s)?;
+        let HowardScratch { policy, ptarget, lambda, potential, .. } = &mut *s;
 
         // Phase 1: improve by cycle-ratio value.
         let mut changed = false;
-        for &vu in members {
-            let v = vu as usize;
-            let mut best_p = policy[v];
-            let mut best_l = lambda[to[best_p as usize] as usize];
-            for p in csr.range(vu) {
-                if comp[to[p] as usize] != cid {
-                    continue;
-                }
-                let l = lambda[to[p] as usize];
+        for (v, alts) in pc.choices() {
+            let (mut best_p, mut best_t) = (policy[v], ptarget[v]);
+            let mut best_l = lambda[best_t as usize];
+            for &(p, t) in alts {
+                let l = lambda[t as usize];
                 if l > best_l + eps {
                     best_l = l;
-                    best_p = p as u32;
+                    (best_p, best_t) = (p, t);
                 }
             }
             if best_p != policy[v] {
-                policy[v] = best_p;
+                (policy[v], ptarget[v]) = (best_p, best_t);
                 changed = true;
             }
         }
@@ -922,42 +1063,31 @@ fn howard_component(
         }
 
         // Phase 2: improve by potential among edges of (near-)equal value.
-        for &vu in members {
-            let v = vu as usize;
-            let cur = policy[v] as usize;
-            let cur_val =
-                cost[cur] - lambda[v] * f64::from(tokens[cur]) + potential[to[cur] as usize];
-            let mut best_p = policy[v];
+        for (v, alts) in pc.choices() {
+            let (cur, cur_t) = (policy[v], ptarget[v]);
+            let lv = lambda[v];
+            let cur_val = cost[cur as usize] - lv * f64::from(tokens[cur as usize])
+                + potential[cur_t as usize];
+            let (mut best_p, mut best_t) = (cur, cur_t);
             let mut best_val = cur_val;
-            for p in csr.range(vu) {
-                let w = to[p] as usize;
-                if comp[w] != cid {
+            for &(p, t) in alts {
+                let w = t as usize;
+                if lambda[w] < lv - eps {
                     continue;
                 }
-                if lambda[w] < lambda[v] - eps {
-                    continue;
-                }
-                let val = cost[p] - lambda[v] * f64::from(tokens[p]) + potential[w];
+                let val = cost[p as usize] - lv * f64::from(tokens[p as usize]) + potential[w];
                 if val > best_val + eps {
                     best_val = val;
-                    best_p = p as u32;
+                    (best_p, best_t) = (p, t);
                 }
             }
-            if best_p != policy[v] {
-                policy[v] = best_p;
+            if best_p != cur {
+                (policy[v], ptarget[v]) = (best_p, best_t);
                 changed = true;
             }
         }
         if !changed {
-            repwf_obs::counter_add(
-                if warm_ok {
-                    repwf_obs::CounterId::HowardItersWarm
-                } else {
-                    repwf_obs::CounterId::HowardItersCold
-                },
-                iter as u64 + 1,
-            );
-            return extract_witness(csr, members, policy, lambda, state);
+            return Ok((extract_witness(csr, pc.members, s), iter as u64 + 1));
         }
     }
     Err(RatioGraphError::NoConvergence)
@@ -965,42 +1095,41 @@ fn howard_component(
 
 /// Evaluates a policy on one component: for every member vertex, the ratio
 /// of the policy cycle it reaches (`lambda`) and a potential solving
-/// `x[v] = cost − λ·tokens + x[π(v)]` along policy edges, rooted at an
-/// arbitrary vertex of each policy cycle.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_policy(
-    csr: &Csr,
-    members: &[u32],
-    policy: &[u32],
-    lambda: &mut [f64],
-    potential: &mut [f64],
-    state: &mut [u8],
-    walk_pos: &mut [u32],
-    path: &mut Vec<u32>,
-) -> Result<(), RatioGraphError> {
-    let to = csr.targets();
+/// `x[v] = cost − λ·tokens + x[π(v)]` along policy edges, rooted at the
+/// vertex where the walk first entered each policy cycle.
+///
+/// Walks from each unvisited member along `ptarget` until they reach a
+/// vertex stamped during this evaluation. Every vertex of a walk then gets
+/// the λ of the vertex where it stopped — one register value — and its
+/// potential is carried backwards in an accumulator, which evaluates
+/// `cost − λ·tokens + x[next]` with exactly the operations of the
+/// memory-reloading form.
+fn evaluate_policy(csr: &Csr, members: &[u32], s: &mut HowardScratch) -> Result<(), RatioGraphError> {
     let cost = csr.costs();
     let tok = csr.token_counts();
-    // 0 = unvisited, 1 = on current walk, 2 = finished.
-    for &v in members {
-        state[v as usize] = 0;
-    }
+    let HowardScratch { policy, ptarget, lambda, potential, mark, clock, path } = s;
+    // Stamps above `eval_base` were taken during this evaluation, stamps
+    // above `walk_base` during the current walk.
+    let eval_base = *clock;
     for &start in members {
-        if state[start as usize] != 0 {
+        if mark[start as usize] > eval_base {
             continue;
         }
         path.clear();
+        let walk_base = *clock;
         let mut u = start;
-        while state[u as usize] == 0 {
-            state[u as usize] = 1;
-            walk_pos[u as usize] = path.len() as u32;
+        while mark[u as usize] <= eval_base {
+            *clock += 1;
+            mark[u as usize] = *clock;
             path.push(u);
-            u = to[policy[u as usize] as usize];
+            u = ptarget[u as usize];
         }
 
-        let settle_from = if state[u as usize] == 1 {
-            // New policy cycle: path[pos..] are its vertices in order.
-            let pos = walk_pos[u as usize] as usize;
+        let ui = u as usize;
+        let (lam, cycle_at) = if mark[ui] > walk_base {
+            // New policy cycle: path[pos..] are its vertices in order,
+            // entered at `u = path[pos]`.
+            let pos = (mark[ui] - walk_base - 1) as usize;
             let cycle = &path[pos..];
             let mut c = 0.0;
             let mut t: u64 = 0;
@@ -1013,58 +1142,53 @@ fn evaluate_policy(
                 return Err(RatioGraphError::ZeroTokenCycle { cycle: cycle.to_vec() });
             }
             let lam = c / t as f64;
-            // Root the potential at the cycle entry point `u = cycle[0]`.
-            lambda[u as usize] = lam;
-            potential[u as usize] = 0.0;
-            for i in (1..cycle.len()).rev() {
-                let v = cycle[i] as usize;
-                let p = policy[v] as usize;
-                lambda[v] = lam;
-                potential[v] = cost[p] - lam * f64::from(tok[p]) + potential[to[p] as usize];
-                state[v] = 2;
-            }
-            state[u as usize] = 2;
-            pos
+            // Root the potential at the cycle entry point.
+            lambda[ui] = lam;
+            potential[ui] = 0.0;
+            (lam, pos)
         } else {
-            // Reached an already-settled vertex; the whole path hangs off it.
-            path.len()
+            // Reached a vertex settled earlier; the whole path hangs off it.
+            (lambda[ui], path.len())
         };
 
-        // Settle the tail of the walk (path[..settle_from]) backwards.
-        for i in (0..settle_from).rev() {
-            let v = path[i] as usize;
+        // Settle the walk backwards: first the cycle (after its root), then
+        // the tail, each of which hangs off `u`.
+        let mut acc = potential[ui];
+        for (i, &v) in path.iter().enumerate().rev() {
+            if i == cycle_at {
+                acc = potential[ui];
+                continue;
+            }
+            let v = v as usize;
             let p = policy[v] as usize;
-            lambda[v] = lambda[to[p] as usize];
-            potential[v] = cost[p] - lambda[v] * f64::from(tok[p]) + potential[to[p] as usize];
-            state[v] = 2;
+            // `(cost − λ·tokens) + x[next]`: IEEE addition commutes, so
+            // this rounds exactly like the textbook expression.
+            acc += cost[p] - lam * f64::from(tok[p]);
+            lambda[v] = lam;
+            potential[v] = acc;
         }
     }
     Ok(())
 }
 
 /// Extracts the critical circuit of the converged policy: follow the policy
-/// from the member with maximal λ until a vertex repeats. Reuses `state`
-/// (all members are at 2 after evaluation) with mark value 3.
-fn extract_witness(
-    csr: &Csr,
-    members: &[u32],
-    policy: &[u32],
-    lambda: &[f64],
-    state: &mut [u8],
-) -> Result<CycleSolution, RatioGraphError> {
+/// from the member with maximal λ until a vertex repeats.
+fn extract_witness(csr: &Csr, members: &[u32], s: &mut HowardScratch) -> CycleSolution {
     let to = csr.targets();
     let cost = csr.costs();
     let tok = csr.token_counts();
     let mut start = members[0];
     for &v in &members[1..] {
-        if lambda[v as usize] >= lambda[start as usize] {
+        if s.lambda[v as usize] >= s.lambda[start as usize] {
             start = v;
         }
     }
+    let base = s.clock;
     let mut u = start;
-    while state[u as usize] != 3 {
-        state[u as usize] = 3;
-        u = to[policy[u as usize] as usize];
+    while s.mark[u as usize] <= base {
+        s.clock += 1;
+        s.mark[u as usize] = s.clock;
+        u = s.ptarget[u as usize];
     }
     // `u` is on the cycle; walk it once more to collect it.
     let mut cycle = Vec::new();
@@ -1073,7 +1197,7 @@ fn extract_witness(
     let first = u;
     loop {
         cycle.push(u);
-        let p = policy[u as usize] as usize;
+        let p = s.policy[u as usize] as usize;
         c += cost[p];
         t += u64::from(tok[p]);
         u = to[p];
@@ -1082,7 +1206,7 @@ fn extract_witness(
         }
     }
     debug_assert!(t > 0, "converged policy cycle must carry tokens");
-    Ok(CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t })
+    CycleSolution { ratio: c / t as f64, cycle, cost: c, tokens: t }
 }
 
 /// Karp on one component with **two rolling rows** instead of the full

@@ -1,4 +1,5 @@
-//! Property tests of the structural invariants from DESIGN.md §7:
+//! Property tests of the structural invariants of README "Design notes:
+//! Invariants and validation":
 //! the `M_ct` lower bound, the one-to-one fast path, time-scaling, and
 //! round-robin monotonicity facts.
 
